@@ -43,7 +43,6 @@ from .errors import (
     UnsupportedVersion,
 )
 from .kernel import (
-    KernelAssembledSystem,
     TrainedKernelModel,
     assemble_kernel,
     fit_kernel,
@@ -101,7 +100,6 @@ __all__ = [
     "Hyperparameters",
     "InvariantViolation",
     "IoError",
-    "KernelAssembledSystem",
     "KernelSpec",
     "LengthMismatch",
     "MalformedCsv",

@@ -10,27 +10,22 @@ sum_k A[k, i] = 0 for every pattern i.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .errors import MaxItersExceeded
 from .kernels import DEFAULT_RIDGE, GramMatrix, KernelSpec, gram, gram_cross
 from .linear import (
     AssembledSystem,
     ConstraintMode,
     Hyperparameters,
-    _bias_indicator,
-    _constraint_columns,
-    _solve_reduced,
+    _fixed_parts,
+    _FixedParts,
+    _minimize,
     _validate_fit_inputs,
 )
-from .majorization import MMState, hinge, majorizer
-
-# Same field layout as the linear system; blocks are (N + 1)-sized.
-KernelAssembledSystem = AssembledSystem
+from .majorization import MMState, hinge
 
 
 @dataclass
@@ -69,54 +64,31 @@ class TrainedKernelModel:
         return cross.T @ self.A.T + self.b
 
 
+def _kernel_parts(sets, gram_matrix: GramMatrix, mode, hp) -> _FixedParts:
+    G = gram_matrix.values
+    N = G.shape[0]
+    G0 = np.zeros((N + 1, N + 1))
+    G0[:N, :N] = G
+    # rows are the augmented Gram columns [g_i; 1] of the class positives
+    rows = [np.column_stack([G[:, idx].T, np.ones(idx.size)]) for idx in sets]
+    note = f"theta={hp.alpha}, ridge={gram_matrix.ridge}, mode={mode.token}"
+    return _fixed_parts(rows, G0, mode, hp, note)
+
+
 def assemble_kernel(
     dataset: Dataset,
     gram_matrix: GramMatrix,
     mode: ConstraintMode,
     hp: Hyperparameters,
     state: MMState,
-) -> KernelAssembledSystem:
+) -> AssembledSystem:
     """Build the kernel surrogate system for the current auxiliaries.
 
     ``hp.alpha`` plays the pairwise coupling role here.  Blocks are sized
     N + 1; the trailing coordinate of each block is the class bias.
     """
-    G = gram_matrix.values
-    N = G.shape[0]
-    K = dataset.n_classes
-    P = N + 1
-    L = K * P
-
-    G0 = np.zeros((P, P))
-    G0[:N, :N] = G
-
-    H = np.zeros((L, L))
-    rhs = np.zeros(L)
-    for k, idx in enumerate(dataset.class_index_sets()):
-        # rows are the augmented Gram columns [g_i; 1] of the class positives
-        Ga = np.column_stack([G[:, idx].T, np.ones(idx.size)])
-        a = 1.0 / state.z[k]
-        s = slice(k * P, (k + 1) * P)
-        H[s, s] = G0 + (hp.beta / 4.0) * (Ga.T * a) @ Ga
-        rhs[s] = (hp.beta / 2.0) * ((1.0 + a) @ Ga)
-
-    if mode.w_constraint == "soft":
-        for k in range(K):
-            for l in range(k + 1, K):
-                sk = slice(k * P, (k + 1) * P)
-                sl = slice(l * P, (l + 1) * P)
-                H[sk, sl] += (hp.alpha / 2.0) * G0
-                H[sl, sk] += (hp.alpha / 2.0) * G0
-    if mode.b_constraint == "soft":
-        u = _bias_indicator(K, P)
-        H += hp.gamma * np.outer(u, u)
-
-    return KernelAssembledSystem(
-        H=H,
-        rhs=rhs,
-        constraint_matrix=_constraint_columns(mode, K, P),
-        note=f"theta={hp.alpha}, ridge={gram_matrix.ridge}, mode={mode.token}",
-    )
+    parts = _kernel_parts(dataset.class_index_sets(), gram_matrix, mode, hp)
+    return parts.system(state.z)
 
 
 def _kernel_regularizer(G, A, b, mode, hp, half):
@@ -134,10 +106,7 @@ def _kernel_regularizer(G, A, b, mode, hp, half):
 
 def _kernel_hinge_sum(dataset, G, A, b):
     scores = (A @ G).T + b
-    total = 0.0
-    for k, idx in enumerate(dataset.class_index_sets()):
-        total += float(np.sum(hinge(scores[idx, k])))
-    return total
+    return float(np.sum(hinge(scores)[dataset.labels == 1]))
 
 
 def training_objective_kernel(
@@ -164,7 +133,7 @@ def fit_kernel(
     hp: Hyperparameters,
     ridge: float = DEFAULT_RIDGE,
 ) -> TrainedKernelModel:
-    """Fit the kernel model; same alternation as the linear path.
+    """Fit the kernel model with the MM iteration of the linear solver.
 
     Parameters
     ----------
@@ -181,68 +150,28 @@ def fit_kernel(
     -------
     TrainedKernelModel
     """
-    _validate_fit_inputs(dataset, mode, hp)
-    gm = gram(kernel, dataset.features, ridge)
-    G = gm.values
-    N = G.shape[0]
-    K = dataset.n_classes
-    P = N + 1
     sets = dataset.class_index_sets()
-    Ga_per = [np.column_stack([G[:, idx].T, np.ones(idx.size)]) for idx in sets]
-
-    state = MMState.fresh([idx.size for idx in sets], hp.epsilon)
-    U = _constraint_columns(mode, K, P)
-    Z = None  # cached null-space basis for the fallback solve path
-
-    hinge_trace: list = []
-    prev = None
-    converged = False
-    iterations = hp.max_iters
-    A = np.zeros((K, N))
-    b = np.zeros(K)
-    resid = 0.0
-    for t in range(1, hp.max_iters + 1):
-        system = assemble_kernel(dataset, gm, mode, hp, state)
-        w, _, resid, Z = _solve_reduced(
-            system.H, system.rhs, U, system.note, Z
-        )
-        stacked = w.reshape(K, P)
-        A, b = stacked[:, :N], stacked[:, N]
-        projections = [Ga_per[k] @ stacked[k] for k in range(K)]
-
-        F = _kernel_regularizer(G, A, b, mode, hp, half=False)
-        for k, u in enumerate(projections):
-            F += hp.beta * float(np.sum(majorizer(u, state.z[k])))
-        state.objective_trace.append(F)
-        hinge_trace.append(training_objective_kernel(dataset, gm, A, b, mode, hp))
-        if prev is not None and abs(F - prev) <= hp.tol * max(1.0, abs(prev)):
-            converged = True
-            iterations = t
-            break
-        prev = F
-        state.update(projections)
-    if not converged:
-        warnings.warn(
-            f"MM loop stopped at max_iters={hp.max_iters} before reaching tol",
-            MaxItersExceeded,
-            stacklevel=2,
-        )
-
+    _validate_fit_inputs(sets, mode, hp)
+    parts = _kernel_parts(sets, gram(kernel, dataset.features, ridge), mode, hp)
+    run = _minimize(parts, hp)
+    N = dataset.n_instances
+    G = parts.metric[:N, :N]  # the padded metric holds the fit's only Gram copy
+    A, b = run.w[:, :N].copy(), run.w[:, N].copy()
     return TrainedKernelModel(
-        A=A.copy(),
-        b=b.copy(),
+        A=A,
+        b=b,
         kernel=kernel,
         train_features=dataset.features.copy(),
         mode=mode,
         hyperparameters=hp,
-        iterations_used=iterations,
+        iterations_used=run.iterations,
         final_objective=_kernel_regularizer(G, A, b, mode, hp, half=True)
         + hp.beta * _kernel_hinge_sum(dataset, G, A, b),
-        kkt_residual=resid,
+        kkt_residual=run.kkt_residual,
         ridge=float(ridge),
-        converged=converged,
-        surrogate_trace=list(state.objective_trace),
-        hinge_trace=hinge_trace,
+        converged=run.converged,
+        surrogate_trace=run.surrogate_trace,
+        hinge_trace=run.hinge_trace,
     )
 
 

@@ -5,9 +5,10 @@ implicit origin rather than against the other classes' patterns.  The
 pairwise coupling between classes is either penalized (soft) or constrained
 (hard), and likewise for the bias sum, giving four constraint modes.
 
-Training alternates two exact minimizations: a KKT solve of the quadratic
-surrogate problem in the stacked augmented weights, and the closed-form
-auxiliary update.  The surrogate objective value never increases.
+Training alternates a KKT solve of the quadratic surrogate problem in the
+stacked augmented weights with the closed-form auxiliary update, taken at
+the doubled step when a safeguard allows (``_minimize``, which the kernel
+solver runs too).  The surrogate objective value never increases.
 
 Two objective evaluators are exposed.  ``training_objective`` is the
 functional the solver actually minimizes,
@@ -33,7 +34,7 @@ from scipy.linalg import cho_factor, cho_solve, lstsq, null_space
 
 from .data import Dataset, augment_rows
 from .errors import HessianNotPD, MaxItersExceeded, SingularSystem
-from .majorization import DEFAULT_EPSILON, MMState, hinge, majorizer
+from .majorization import DEFAULT_EPSILON, MMState, hinge, majorizer, z_update
 
 _MODE_TOKENS = {
     "sw-sb": ("soft", "soft"),
@@ -173,10 +174,66 @@ def _constraint_columns(mode: ConstraintMode, K: int, P: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _bias_indicator(K: int, P: int) -> np.ndarray:
-    u = np.zeros(K * P)
-    u[P - 1 :: P] = 1.0
-    return u
+@dataclass
+class _FixedParts:
+    """The parts of the surrogate system that stay fixed during one fit.
+
+    ``rows[k]`` holds the augmented rows of class k's positives ([x_i; 1]
+    in the primal, the Gram column [g_i; 1] in kernel form), so class k's
+    projections are ``rows[k] @ w_k``.  Without the hinge blocks the
+    curvature is coupling (x) metric + gamma uu', where coupling is I plus
+    alpha/2 off the diagonal in soft-w modes, metric is the per-class
+    regularizer D, u picks the biases and gamma is 0 in hard-b modes.  It
+    is rebuilt for every system rather than stored, which would keep one
+    more matrix of the system's order alive through the solve.
+    """
+
+    rows: list
+    coupling: np.ndarray
+    metric: np.ndarray
+    gamma: float
+    constraint_matrix: np.ndarray
+    beta: float
+    note: str
+
+    def system(self, z) -> AssembledSystem:
+        """The surrogate system at the auxiliaries ``z``, one array per class."""
+        P = self.metric.shape[0]
+        H = np.kron(self.coupling, self.metric)
+        H[P - 1 :: P, P - 1 :: P] += self.gamma
+        rhs = np.zeros(H.shape[0])
+        for k, (A_k, z_k) in enumerate(zip(self.rows, z)):
+            a = 1.0 / z_k
+            s = slice(k * P, (k + 1) * P)
+            H[s, s] += (self.beta / 4.0) * (A_k.T * a) @ A_k
+            rhs[s] = (self.beta / 2.0) * ((1.0 + a) @ A_k)
+        return AssembledSystem(H, rhs, self.constraint_matrix, self.note)
+
+    def regularizer(self, w) -> float:
+        """w' H w without the hinge blocks, for stacked weights w."""
+        Wb = w.reshape(len(self.rows), -1)
+        quad = float(np.sum(self.coupling * (Wb @ self.metric @ Wb.T)))
+        return quad + self.gamma * float(np.sum(Wb[:, -1])) ** 2
+
+
+def _fixed_parts(rows, metric, mode, hp, note) -> _FixedParts:
+    K, P = len(rows), metric.shape[0]
+    coupling = np.eye(K)
+    if mode.w_constraint == "soft":
+        coupling += (hp.alpha / 2.0) * (np.ones((K, K)) - np.eye(K))
+    gamma = hp.gamma if mode.b_constraint == "soft" else 0.0
+    return _FixedParts(
+        rows, coupling, metric, gamma, _constraint_columns(mode, K, P), hp.beta, note
+    )
+
+
+def _linear_parts(dataset, sets, mode, hp) -> _FixedParts:
+    M = dataset.n_features
+    Xa = augment_rows(dataset.features)
+    D = np.eye(M + 1)
+    D[M, M] = 0.0  # the regularizer does not touch the bias coordinate
+    note = f"alpha={hp.alpha}, beta={hp.beta}, mode={mode.token}"
+    return _fixed_parts([Xa[idx] for idx in sets], D, mode, hp, note)
 
 
 def assemble(
@@ -200,39 +257,8 @@ def assemble(
     AssembledSystem
         Curvature H, right-side vector, and hard-constraint columns.
     """
-    K, M = dataset.n_classes, dataset.n_features
-    P = M + 1
-    L = K * P
-    Xa = augment_rows(dataset.features)
-    D = np.eye(P)
-    D[M, M] = 0.0  # the regularizer does not touch the bias coordinate
-
-    H = np.zeros((L, L))
-    rhs = np.zeros(L)
-    for k, idx in enumerate(dataset.class_index_sets()):
-        A_k = Xa[idx]
-        a = 1.0 / state.z[k]
-        s = slice(k * P, (k + 1) * P)
-        H[s, s] = D + (hp.beta / 4.0) * (A_k.T * a) @ A_k
-        rhs[s] = (hp.beta / 2.0) * ((1.0 + a) @ A_k)
-
-    if mode.w_constraint == "soft":
-        for k in range(K):
-            for l in range(k + 1, K):
-                sk = slice(k * P, (k + 1) * P)
-                sl = slice(l * P, (l + 1) * P)
-                H[sk, sl] += (hp.alpha / 2.0) * D
-                H[sl, sk] += (hp.alpha / 2.0) * D
-    if mode.b_constraint == "soft":
-        u = _bias_indicator(K, P)
-        H += hp.gamma * np.outer(u, u)
-
-    return AssembledSystem(
-        H=H,
-        rhs=rhs,
-        constraint_matrix=_constraint_columns(mode, K, P),
-        note=f"alpha={hp.alpha}, beta={hp.beta}, mode={mode.token}",
-    )
+    parts = _linear_parts(dataset, dataset.class_index_sets(), mode, hp)
+    return parts.system(state.z)
 
 
 _PD_REL_TOL = 1e-10  # negative curvature below this (relative) is genuine
@@ -403,10 +429,7 @@ def _regularizer_terms(W, b, mode, hp, half):
 
 def _hinge_sum(dataset, W, b):
     scores = dataset.features @ np.asarray(W, dtype=float).T + np.asarray(b, dtype=float)
-    total = 0.0
-    for k, idx in enumerate(dataset.class_index_sets()):
-        total += float(np.sum(hinge(scores[idx, k])))
-    return total
+    return float(np.sum(hinge(scores)[dataset.labels == 1]))
 
 
 def objective(dataset: Dataset, W, b, mode: ConstraintMode, hp: Hyperparameters) -> float:
@@ -441,19 +464,87 @@ def feasibility(W, b) -> dict:
     }
 
 
-def _surrogate_value(W, b, projections, state, mode, hp):
-    val = _regularizer_terms(W, b, mode, hp, half=False)
-    for k, u in enumerate(projections):
-        val += hp.beta * float(np.sum(majorizer(u, state.z[k])))
-    return val
-
-
-def _validate_fit_inputs(dataset, mode, hp):
-    for k, idx in enumerate(dataset.class_index_sets()):
+def _validate_fit_inputs(sets, mode, hp):
+    for k, idx in enumerate(sets):
         if idx.size == 0:
             raise ValueError(f"class {k} has no positive patterns")
     if mode.b_constraint == "soft" and hp.gamma <= 0:
         raise ValueError("gamma must be strictly positive in soft-b modes")
+
+
+@dataclass
+class _MMRun:
+    w: np.ndarray  # stacked augmented weights of the last solve, K x P
+    kkt_residual: float
+    converged: bool
+    iterations: int
+    surrogate_trace: list
+    hinge_trace: list
+
+
+def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
+    """The MM iteration shared by the linear and the kernel solver.
+
+    Each KKT solve gives w_t, the minimizer of the surrogate at the current
+    auxiliaries.  The bound is then re-anchored with safeguarded step
+    doubling: let h(w) be the surrogate with every z tight at w,
+    z = max(|1 - u|, epsilon).  For t > 1 the auxiliaries are set from the
+    doubled step w_e = 2 w_t - w_{t-1} when h(w_e) <= h(w_t), and from w_t
+    otherwise.  The next surrogate value is then at most
+    h(anchor) <= h(w_t) <= F_t, so the trace does not rise.  w_e meets the
+    hard constraints because they are linear and both iterates meet them.
+
+    Stops when the relative surrogate change drops below ``hp.tol``; at
+    ``hp.max_iters`` the last iterate is returned with ``converged=False``
+    and a MaxItersExceeded warning.
+    """
+    K, P = len(parts.rows), parts.metric.shape[0]
+    beta, eps = hp.beta, hp.epsilon
+    sizes = [A_k.shape[0] for A_k in parts.rows]
+    cuts = np.cumsum(sizes)[:-1]  # class boundaries in the flat projections
+    state = MMState.fresh(sizes, eps)
+
+    def tight(reg, u):
+        return reg + beta * float(np.sum(majorizer(u, z_update(u, eps))))
+
+    Z = None  # null-space basis, cached only if the fallback path computes it
+    hinge_trace: list = []
+    prev_F = None
+    prev = None  # (w, u) of the previous solve
+    converged = False
+    iterations = hp.max_iters
+    for t in range(1, hp.max_iters + 1):  # Hyperparameters keeps max_iters >= 1
+        system = parts.system(state.z)
+        w, _, resid, Z = _solve_reduced(
+            system.H, system.rhs, parts.constraint_matrix, parts.note, Z
+        )
+        # projections of every class's positives, class after class
+        u = np.concatenate([A_k @ w_k for A_k, w_k in zip(parts.rows, w.reshape(K, P))])
+        reg = parts.regularizer(w)
+        F = reg + beta * float(np.sum(majorizer(u, np.concatenate(state.z))))
+        state.objective_trace.append(F)
+        hinge_trace.append(reg + beta * float(np.sum(hinge(u))))
+        if prev_F is not None and abs(F - prev_F) <= hp.tol * max(1.0, abs(prev_F)):
+            converged = True
+            iterations = t
+            break
+        prev_F = F
+        anchor = u
+        if prev is not None:
+            w_e, u_e = 2.0 * w - prev[0], 2.0 * u - prev[1]
+            if tight(parts.regularizer(w_e), u_e) <= tight(reg, u):
+                anchor = u_e
+        prev = (w, u)
+        state.update(np.split(anchor, cuts))
+    if not converged:
+        warnings.warn(
+            f"MM loop stopped at max_iters={hp.max_iters} before reaching tol",
+            MaxItersExceeded,
+            stacklevel=3,
+        )
+    return _MMRun(
+        w.reshape(K, P), resid, converged, iterations, state.objective_trace, hinge_trace
+    )
 
 
 def fit_linear(
@@ -479,62 +570,25 @@ def fit_linear(
 
     Notes
     -----
-    Stops when the relative surrogate change drops below ``hp.tol``.  If
-    ``hp.max_iters`` is reached first, the best iterate is returned with
+    Runs the shared MM iteration (see :func:`_minimize`), which stops when
+    the relative surrogate change drops below ``hp.tol``.  If
+    ``hp.max_iters`` is reached first, the last iterate is returned with
     ``converged=False`` and a MaxItersExceeded warning.
     """
-    _validate_fit_inputs(dataset, mode, hp)
-    K, M = dataset.n_classes, dataset.n_features
-    P = M + 1
     sets = dataset.class_index_sets()
-    Xa = augment_rows(dataset.features)
-    Xa_per = [Xa[idx] for idx in sets]
-
-    state = MMState.fresh([idx.size for idx in sets], hp.epsilon)
-    U = _constraint_columns(mode, K, P)
-    Z = None  # null-space basis, cached only if the fallback path computes it
-
-    hinge_trace: list = []
-    prev = None
-    converged = False
-    iterations = hp.max_iters
-    W = np.zeros((K, M))
-    b = np.zeros(K)
-    resid = 0.0
-    for t in range(1, hp.max_iters + 1):
-        system = assemble(dataset, mode, hp, state)
-        w, _, resid, Z = _solve_reduced(
-            system.H, system.rhs, U, system.note, Z
-        )
-        stacked = w.reshape(K, P)
-        W, b = stacked[:, :M], stacked[:, M]
-        projections = [Xa_per[k] @ stacked[k] for k in range(K)]
-
-        F = _surrogate_value(W, b, projections, state, mode, hp)
-        state.objective_trace.append(F)
-        hinge_trace.append(training_objective(dataset, W, b, mode, hp))
-        if prev is not None and abs(F - prev) <= hp.tol * max(1.0, abs(prev)):
-            converged = True
-            iterations = t
-            break
-        prev = F
-        state.update(projections)
-    if not converged:
-        warnings.warn(
-            f"MM loop stopped at max_iters={hp.max_iters} before reaching tol",
-            MaxItersExceeded,
-            stacklevel=2,
-        )
-
+    _validate_fit_inputs(sets, mode, hp)
+    run = _minimize(_linear_parts(dataset, sets, mode, hp), hp)
+    M = dataset.n_features
+    W, b = run.w[:, :M].copy(), run.w[:, M].copy()
     return TrainedLinearModel(
-        W=W.copy(),
-        b=b.copy(),
+        W=W,
+        b=b,
         mode=mode,
         hyperparameters=hp,
-        iterations_used=iterations,
+        iterations_used=run.iterations,
         final_objective=objective(dataset, W, b, mode, hp),
-        kkt_residual=resid,
-        converged=converged,
-        surrogate_trace=list(state.objective_trace),
-        hinge_trace=hinge_trace,
+        kkt_residual=run.kkt_residual,
+        converged=run.converged,
+        surrogate_trace=run.surrogate_trace,
+        hinge_trace=run.hinge_trace,
     )

@@ -22,29 +22,26 @@ from .data import Dataset
 from .linear import ConstraintMode, Hyperparameters, training_objective
 
 
-def _value_and_subgrad(X, sets, W, b, mode, hp):
-    K = W.shape[0]
+def _value_and_subgrad(X, members, W, b, mode, hp):
+    # members: N x K boolean label mask
     scores = X @ W.T + b
-    gW = 2.0 * W.copy()
-    gb = np.zeros(K)
-    val = float(np.sum(W * W))
+    gW = 2.0 * W
+    gb = np.zeros(W.shape[0])
+    norm2 = float(np.sum(W * W))
+    val = norm2
     if mode.w_constraint == "soft":
         s = W.sum(axis=0)
-        val += hp.alpha * 0.5 * (float(s @ s) - float(np.sum(W * W)))
+        val += hp.alpha * 0.5 * (float(s @ s) - norm2)
         gW += hp.alpha * (s - W)
     if mode.b_constraint == "soft":
         bs = float(b.sum())
         val += hp.gamma * bs * bs
         gb += 2.0 * hp.gamma * bs
-    for k, idx in enumerate(sets):
-        u = scores[idx, k]
-        margin = 1.0 - u
-        val += hp.beta * float(np.sum(np.maximum(margin, 0.0)))
-        active = margin > 0.0  # zero subgradient chosen on the kink
-        if np.any(active):
-            rows = idx[active]
-            gW[k] -= hp.beta * X[rows].sum(axis=0)
-            gb[k] -= hp.beta * active.sum()
+    margin = 1.0 - scores
+    active = members & (margin > 0.0)  # zero subgradient chosen on the kink
+    val += hp.beta * float(np.sum(margin[active]))
+    gW -= hp.beta * (active.T @ X)
+    gb -= hp.beta * active.sum(axis=0)
     return val, gW, gb
 
 
@@ -70,13 +67,13 @@ def subgradient_fit(
     of subgradient steps; ``epoch`` is the level-adjustment period.
     """
     X = dataset.features
-    sets = dataset.class_index_sets()
+    members = dataset.labels == 1
     K, M = dataset.n_classes, dataset.n_features
 
     W = np.zeros((K, M))
     b = np.zeros(K)
     _project(W, b, mode)
-    f_best, _, _ = _value_and_subgrad(X, sets, W, b, mode, hp)
+    f_best, _, _ = _value_and_subgrad(X, members, W, b, mode, hp)
     best = (W.copy(), b.copy())
     delta = delta0 if delta0 is not None else max(1.0, 0.05 * f_best)
     tiny = np.finfo(float).tiny
@@ -85,7 +82,7 @@ def subgradient_fit(
     while done < steps and delta > 1e-14 * max(1.0, f_best):
         f_epoch_start = f_best
         for _ in range(min(epoch, steps - done)):
-            f, gW, gb = _value_and_subgrad(X, sets, W, b, mode, hp)
+            f, gW, gb = _value_and_subgrad(X, members, W, b, mode, hp)
             if f < f_best:
                 f_best = f
                 best = (W.copy(), b.copy())

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ovnsvm
 from conftest import quiet_max_iters
 from ovnsvm.cli import main
 
@@ -179,6 +184,30 @@ def test_reproduce_unseen_passes(tmp_path, capsys):
     assert "result: pass" in out
     doc = json.loads(report.read_text())
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("table", ["t3", "unseen"])
+def test_reproduce_table_is_the_same_at_any_blas_thread_count(table):
+    # fits that stop at the optimum give the same table whatever the order
+    # in which BLAS adds up their products
+    src = str(Path(ovnsvm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=path,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "ovnsvm", "reproduce", "--table", table],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestExitCodes:

@@ -1,5 +1,7 @@
 """Linear solver: assembly, the constrained solve, and the fit loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ovnsvm import (
     solve_kkt,
     training_objective,
 )
+from ovnsvm.oracle import subgradient_fit
 
 MODES = [ConstraintMode.from_token(t) for t in ("sw-sb", "sw-hb", "hw-sb", "hw-hb")]
 
@@ -196,6 +199,23 @@ class TestFit:
             )
         assert not model.converged
         assert model.iterations_used == 2
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.token)
+    def test_default_budget_reaches_the_optimum(self, mode):
+        # plain re-anchoring at the last iterate stopped on the 500-iteration
+        # cap in every mode on this instance; the fit must converge instead
+        d = random_multilabel(np.random.default_rng(0), 400, 8, 5)
+        hp = Hyperparameters()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MaxItersExceeded)
+            model = fit_linear(d, mode, hp)
+        assert model.converged
+        # the oracle returns a feasible point, so its objective bounds the
+        # optimum from above and the comparison is one-sided
+        W, b = subgradient_fit(d, mode, hp, steps=20000)
+        ours = training_objective(d, model.W, model.b, mode, hp)
+        ref = training_objective(d, W, b, mode, hp)
+        assert (ours - ref) / max(1.0, abs(ref)) <= 1e-3
 
     def test_empty_class_rejected(self):
         d = Dataset([[1.0], [2.0]], [[1, 0], [1, 0]])

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_multilabel
 from ovnsvm import ConstraintMode, Hyperparameters, fit_linear, training_objective
-from ovnsvm.oracle import binary_svm_fit, compare, subgradient_fit
+from ovnsvm.oracle import _value_and_subgrad, binary_svm_fit, compare, subgradient_fit
 
 
 def test_subgradient_reaches_the_solver_objective():
@@ -18,6 +18,38 @@ def test_subgradient_reaches_the_solver_objective():
     ours = training_objective(d, model.W, model.b, mode, hp)
     ref = training_objective(d, W, b, mode, hp)
     assert abs(ours - ref) / max(1.0, abs(ref)) < 1e-3
+
+
+@pytest.mark.parametrize("token", ["sw-sb", "sw-hb", "hw-sb", "hw-hb"])
+def test_value_and_subgradient_match_the_per_class_loop(token):
+    rng = np.random.default_rng(5)
+    d = random_multilabel(rng, 15, 3, 4)
+    mode = ConstraintMode.from_token(token)
+    hp = Hyperparameters(alpha=0.6, beta=3.0, gamma=1.5)
+    W = rng.standard_normal((4, 3))
+    b = rng.standard_normal(4)
+    X = d.features
+    val, gW, gb = _value_and_subgrad(X, d.labels == 1, W, b, mode, hp)
+
+    # reference: one class at a time over its positive set
+    ref_gW = 2.0 * W
+    ref_gb = np.zeros(4)
+    if mode.w_constraint == "soft":
+        ref_gW += hp.alpha * (W.sum(axis=0) - W)
+    if mode.b_constraint == "soft":
+        ref_gb += 2.0 * hp.gamma * b.sum()
+    active = 0
+    for k, idx in enumerate(d.class_index_sets()):
+        rows = idx[1.0 - (X[idx] @ W[k] + b[k]) > 0.0]
+        ref_gW[k] -= hp.beta * X[rows].sum(axis=0)
+        ref_gb[k] -= hp.beta * rows.size
+        active += rows.size
+    assert active > 0  # the draw exercises the hinge part
+    ref_val = training_objective(d, W, b, mode, hp)
+    # summation order differs from the loop: allow float64 rounding only
+    assert val == pytest.approx(ref_val, rel=1e-12)
+    np.testing.assert_allclose(gW, ref_gW, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gb, ref_gb, rtol=1e-12, atol=1e-12)
 
 
 def test_subgradient_respects_hard_constraints():
