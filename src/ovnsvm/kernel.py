@@ -27,6 +27,11 @@ from .linear import (
 )
 from .majorization import MMState, hinge
 
+# kernel values per scoring block, so that one N x (this // N) block stays in
+# cache.  Blocks are whole multiples of 64 rows, a multiple of the register
+# tile of BLAS kernels, so only the last block has edge rows, as one call has.
+_SCORE_BLOCK = 1 << 15
+
 
 @dataclass
 class TrainedKernelModel:
@@ -59,9 +64,22 @@ class TrainedKernelModel:
         return self.A.shape[1]
 
     def decision_scores(self, X) -> np.ndarray:
-        """Per-class scores sum_i A[k,i] kappa(x_i, x) + b_k, shape (T, K)."""
-        cross = gram_cross(self.kernel, self.train_features, X)
-        return cross.T @ self.A.T + self.b
+        """Per-class scores sum_i A[k,i] kappa(x_i, x) + b_k, shape (T, K).
+
+        Rows are scored in blocks, so beyond the output one kernel block of
+        N x (about _SCORE_BLOCK // N) values is held, however large T is.
+        """
+        X = np.asarray(X, dtype=float)
+        scores = np.empty((len(X), self.n_classes))
+        step = 64 * max(1, _SCORE_BLOCK // (64 * self.n_train))
+        # the last block takes the rest, so it is never a lone row unless X
+        # is, and there is one block even for no rows, to check X's width
+        bounds = [0, *range(step, len(X) - 1, step), len(X)]
+        for start, stop in zip(bounds, bounds[1:]):
+            cross = gram_cross(self.kernel, self.train_features, X[start:stop])
+            np.matmul(cross.T, self.A.T, out=scores[start:stop])
+        scores += self.b
+        return scores
 
 
 def _kernel_parts(sets, gram_matrix: GramMatrix, mode, hp) -> _FixedParts:

@@ -52,19 +52,21 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 
 
 def _pairwise(spec: KernelSpec, A, B):
-    # vectorized kernel block between row sets A and B
-    inner = A @ B.T
+    # kernel block between row sets A and B, finished in place in the buffer
+    # of A @ B.T by the IEEE operations of the textbook formula, in its order
+    block = A @ B.T
     if spec.kind == "linear":
-        return inner
+        return block
     if spec.kind == "polynomial":
-        return (inner + spec.coef0) ** spec.degree
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        - 2.0 * inner
-        + np.sum(B * B, axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)  # cancellation can leave tiny negatives
-    return np.exp(-sq / (2.0 * spec.sigma**2))
+        block += spec.coef0
+        block **= spec.degree
+        return block
+    block *= -2.0
+    block += np.sum(A * A, axis=1)[:, None]
+    block += np.sum(B * B, axis=1)[None, :]
+    np.maximum(block, 0.0, out=block)  # cancellation can leave tiny negatives
+    np.divide(block, -(2.0 * spec.sigma**2), out=block)
+    return np.exp(block, out=block)
 
 
 def gram(spec: KernelSpec, X, ridge: float = DEFAULT_RIDGE) -> GramMatrix:
@@ -75,7 +77,8 @@ def gram(spec: KernelSpec, X, ridge: float = DEFAULT_RIDGE) -> GramMatrix:
     """
     X = np.asarray(X, dtype=float)
     V = _pairwise(spec, X, X)
-    V = np.triu(V) + np.triu(V, 1).T
+    for i in range(1, V.shape[0]):
+        V[i, :i] = V[:i, i]
     if ridge:
         V[np.diag_indices_from(V)] += ridge
     return GramMatrix(V, float(ridge))

@@ -468,6 +468,16 @@ def _validate_fit_inputs(sets, mode, hp):
     for k, idx in enumerate(sets):
         if idx.size == 0:
             raise ValueError(f"class {k} has no positive patterns")
+    K = len(sets)
+    # the K x K coupling has eigenvalues 1 - alpha/2 on class contrasts and
+    # 1 + (K-1) alpha/2 on the class mean; a negative one leaves the
+    # objective unbounded below, whatever the data
+    if mode.w_constraint == "soft" and min(1 - hp.alpha / 2, 1 + (K - 1) * hp.alpha / 2) < 0:
+        lo = -2 / (K - 1) if K > 1 else -np.inf
+        raise HessianNotPD(
+            f"alpha={hp.alpha} is outside [{lo:g}, 2], the definite window "
+            f"-2/(K-1) <= alpha <= 2 of soft weight coupling with K={K} classes"
+        )
     if mode.b_constraint == "soft" and hp.gamma <= 0:
         raise ValueError("gamma must be strictly positive in soft-b modes")
 
@@ -566,7 +576,9 @@ def fit_linear(
     Raises
     ------
     HessianNotPD
-        If the coupling coefficient makes the reduced Hessian indefinite.
+        If ``hp.alpha`` is outside -2/(K-1) <= alpha <= 2 in soft-w modes
+        (checked before any factorization), or a reduced Hessian is
+        indefinite.
 
     Notes
     -----

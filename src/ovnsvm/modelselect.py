@@ -12,7 +12,7 @@ from .errors import AllTuplesInfeasible, HessianNotPD, TooFewInstances
 from .kernel import fit_kernel
 from .kernels import KernelSpec
 from .linear import ConstraintMode, Hyperparameters, fit_linear
-from .predict import evaluate, matrix_to_label_sets, predict_multilabel_matrix
+from .predict import evaluate, predict_multilabel_matrix
 
 DEFAULT_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 1.5)
 DEFAULT_BETAS = (0.1, 1.0, 10.0, 100.0)
@@ -147,9 +147,7 @@ def _score_fold(model, test: Dataset, task: str):
         pred[np.arange(len(scores)), np.argmax(scores, axis=1)] = 1
     else:
         pred = predict_multilabel_matrix(scores)
-    rep = evaluate(
-        matrix_to_label_sets(pred), matrix_to_label_sets(test.labels), test.n_classes
-    )
+    rep = evaluate(pred, test.labels, test.n_classes)
     return rep.accuracy, rep.hamming_loss
 
 

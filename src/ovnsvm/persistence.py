@@ -9,6 +9,7 @@ bit-identical scores.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,29 +22,14 @@ FORMAT_VERSION = 1
 _HARD_TOL = 1e-8
 
 
-def _mode_doc(mode):
-    return {"w_constraint": mode.w_constraint, "b_constraint": mode.b_constraint}
-
-
-def _hp_doc(hp):
-    return {
-        "alpha": hp.alpha,
-        "beta": hp.beta,
-        "gamma": hp.gamma,
-        "epsilon": hp.epsilon,
-        "max_iters": hp.max_iters,
-        "tol": hp.tol,
-    }
-
-
 def save_model(model, path) -> None:
     """Write a trained model as a versioned JSON document."""
     if not isinstance(model, (TrainedKernelModel, TrainedLinearModel)):
         raise ValueError(f"cannot serialize {type(model).__name__}")
     doc = {
         "format_version": FORMAT_VERSION,
-        "mode": _mode_doc(model.mode),
-        "hyperparameters": _hp_doc(model.hyperparameters),
+        "mode": asdict(model.mode),
+        "hyperparameters": asdict(model.hyperparameters),
         "diagnostics": {
             "iterations_used": model.iterations_used,
             "final_objective": model.final_objective,
@@ -57,12 +43,7 @@ def save_model(model, path) -> None:
         doc["K"] = int(model.A.shape[0])
         doc["N"] = int(model.A.shape[1])
         doc["M"] = int(model.train_features.shape[1])
-        doc["kernel"] = {
-            "kind": model.kernel.kind,
-            "sigma": model.kernel.sigma,
-            "degree": model.kernel.degree,
-            "coef0": model.kernel.coef0,
-        }
+        doc["kernel"] = asdict(model.kernel)
         doc["ridge"] = model.ridge
         doc["A"] = model.A.tolist()
         doc["train_features"] = model.train_features.tolist()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,15 +82,7 @@ class MetricsReport:
     n_instances: int
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "hamming_loss": self.hamming_loss,
-            "exact_match": self.exact_match,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "n_instances": self.n_instances,
-        }
+        return asdict(self)
 
     def format_text(self) -> str:
         rows = self.as_dict()

@@ -103,3 +103,36 @@ def test_gram_cross_feature_mismatch():
 
 def test_default_ridge_is_tiny():
     assert 0.0 < DEFAULT_RIDGE <= 1e-8
+
+
+def _textbook_pairwise(spec, A, B):
+    # the kernel block as three fresh temporaries; the in-place block must
+    # reproduce it bit for bit
+    inner = A @ B.T
+    if spec.kind == "linear":
+        return inner
+    if spec.kind == "polynomial":
+        return (inner + spec.coef0) ** spec.degree
+    sq = np.sum(A * A, axis=1)[:, None] - 2.0 * inner + np.sum(B * B, axis=1)[None, :]
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * spec.sigma**2))
+
+
+BIT_SPECS = (
+    [KernelSpec(kind="gaussian", sigma=s) for s in (0.3, 0.8, 1.7, 3.3)]
+    + [KernelSpec(kind="polynomial", degree=d, coef0=c) for d in (1, 2, 3) for c in (0.5, 1.0)]
+    + [LINEAR]
+)
+
+
+@pytest.mark.parametrize("spec", BIT_SPECS, ids=repr)
+def test_blocks_are_bit_identical_to_the_textbook_formula(spec):
+    rng = np.random.default_rng(7)
+    for n, t, m in [(90, 1500, 2), (37, 200, 5), (1, 3, 1), (130, 0, 4)]:
+        X = 2.5 * rng.standard_normal((n, m))
+        Y = 2.5 * rng.standard_normal((t, m))
+        V = _textbook_pairwise(spec, X, X)
+        V = np.triu(V) + np.triu(V, 1).T
+        V[np.diag_indices_from(V)] += DEFAULT_RIDGE
+        assert np.array_equal(gram(spec, X).values, V)
+        assert np.array_equal(gram_cross(spec, X, Y), _textbook_pairwise(spec, X, Y))

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import ovnsvm.kernel
+import ovnsvm.linear
 from conftest import quiet_max_iters, random_multilabel
 from ovnsvm import (
     AssembledSystem,
@@ -15,8 +17,10 @@ from ovnsvm import (
     MaxItersExceeded,
     MMState,
     SingularSystem,
+    KernelSpec,
     assemble,
     feasibility,
+    fit_kernel,
     fit_linear,
     objective,
     solve_kkt,
@@ -133,6 +137,34 @@ class TestSolve:
         hp = Hyperparameters(alpha=10.0, beta=1e-3)
         with pytest.raises(HessianNotPD):
             fit_linear(d, ConstraintMode("soft", "hard"), hp)
+
+    @pytest.mark.parametrize("solver", ["linear", "kernel"])
+    @pytest.mark.parametrize("token", ["sw-hb", "sw-sb"])
+    @pytest.mark.parametrize("alpha", [2.2, 3.0, -1.2, -1.5])
+    def test_coupling_outside_the_window_is_rejected_before_solving(
+        self, monkeypatch, solver, token, alpha
+    ):
+        # K = 3, so the window is [-1, 2]; outside it the objective is
+        # unbounded below along a coupling eigenvector, whatever the data
+        def no_solve(*args):
+            raise AssertionError("the fit reached the MM loop")
+
+        monkeypatch.setattr(ovnsvm.linear, "_minimize", no_solve)
+        monkeypatch.setattr(ovnsvm.kernel, "_minimize", no_solve)
+        d = random_multilabel(np.random.default_rng(0), 40, 3, 3)
+        hp = Hyperparameters(alpha=alpha, beta=100.0)
+        mode = ConstraintMode.from_token(token)
+        with pytest.raises(HessianNotPD, match=rf"alpha={alpha} .*\[-1, 2\].*K=3"):
+            if solver == "linear":
+                fit_linear(d, mode, hp)
+            else:
+                fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp)
+
+    @pytest.mark.parametrize("alpha", [2.0, -1.0])
+    def test_coupling_on_the_window_edge_still_fits(self, alpha):
+        d = random_multilabel(np.random.default_rng(0), 40, 3, 3)
+        model = fit_linear(d, ConstraintMode("soft", "hard"), Hyperparameters(alpha=alpha))
+        assert model.converged and np.all(np.isfinite(model.W))
 
 
 class TestFit:
