@@ -1,11 +1,13 @@
 """Kernel-space one-versus-none solver.
 
 Every class weight vector is a combination of mapped training patterns,
-w_k = sum_i A[k, i] phi(x_i), so all computation runs through the Gram
-matrix.  The surrogate system mirrors the linear assembly with the
-augmented Gram column [g_i; 1] in place of the augmented pattern, blocks
-of size N + 1 per class, and the hard weight constraint becomes
-sum_k A[k, i] = 0 for every pattern i.
+w_k = sum_i A[k, i] phi(x_i).  A pivoted incomplete Cholesky factor
+G ~ R R' of the Gram matrix (Fine & Scheinberg, JMLR 2001) gives every
+training pattern r coordinates in the span of the r pivot patterns, so a
+kernel fit is the linear fit on the rows of R: blocks of size r + 1 per
+class, with the hard weight constraint sum_k w_k = 0 in those
+coordinates.  The fitted weights map back to coefficients on the pivot
+patterns; every other column of A is zero.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .data import Dataset
 from .kernels import DEFAULT_RIDGE, GramMatrix, KernelSpec, gram, gram_cross
@@ -20,12 +23,15 @@ from .linear import (
     AssembledSystem,
     ConstraintMode,
     Hyperparameters,
-    _fixed_parts,
-    _FixedParts,
+    _linear_parts,
     _minimize,
     _validate_fit_inputs,
 )
 from .majorization import MMState, hinge
+
+# the Gram factor stops once no diagonal entry of the residual G - R R' is
+# above this share of the trace of G
+_FACTOR_TOL = 1e-8
 
 # kernel values per scoring block, so that one N x (this // N) block stays in
 # cache.  Blocks are whole multiples of 64 rows, a multiple of the register
@@ -82,15 +88,37 @@ class TrainedKernelModel:
         return scores
 
 
-def _kernel_parts(sets, gram_matrix: GramMatrix, mode, hp) -> _FixedParts:
-    G = gram_matrix.values
+def _factor(G):
+    """Pivoted incomplete Cholesky: G ~ R R' with R[pivots] lower triangular.
+
+    Each step pivots on the largest residual diagonal entry and stops when
+    none exceeds _FACTOR_TOL times the trace, so R has the numerical rank r
+    of G as its column count (r = 0 for a zero Gram matrix).
+    """
     N = G.shape[0]
-    G0 = np.zeros((N + 1, N + 1))
-    G0[:N, :N] = G
-    # rows are the augmented Gram columns [g_i; 1] of the class positives
-    rows = [np.column_stack([G[:, idx].T, np.ones(idx.size)]) for idx in sets]
-    note = f"theta={hp.alpha}, ridge={gram_matrix.ridge}, mode={mode.token}"
-    return _fixed_parts(rows, G0, mode, hp, note)
+    d = np.diag(G).copy()  # the diagonal of G - R R'
+    stop = _FACTOR_TOL * float(d.sum())
+    Rt = np.zeros((N, N))  # R transposed, so each new column is a row
+    pivots = []
+    for j in range(N):
+        i = int(np.argmax(d))
+        if d[i] <= stop:
+            break
+        Rt[j] = (G[i] - Rt[:j, i] @ Rt[:j]) / np.sqrt(d[i])
+        Rt[j, pivots] = 0.0  # exact zeros above the diagonal of R[pivots]
+        d -= Rt[j] ** 2
+        d[i] = 0.0
+        pivots.append(i)
+    return Rt[: len(pivots)].T, np.asarray(pivots, dtype=int)
+
+
+def _kernel_parts(sets, gram_matrix: GramMatrix, mode, hp):
+    # the linear parts on R, with the triangular pivot rows R[pivots]
+    R, pivots = _factor(gram_matrix.values)
+    parts = _linear_parts(
+        R, sets, mode, hp, f", ridge={gram_matrix.ridge}, rank={len(pivots)}"
+    )
+    return parts, R[pivots], pivots
 
 
 def assemble_kernel(
@@ -102,10 +130,14 @@ def assemble_kernel(
 ) -> AssembledSystem:
     """Build the kernel surrogate system for the current auxiliaries.
 
-    ``hp.alpha`` plays the pairwise coupling role here.  Blocks are sized
-    N + 1; the trailing coordinate of each block is the class bias.
+    This is the linear system on the rows of the Gram factor R that
+    ``fit_kernel`` solves (on an edge of the coupling window the fit adds
+    a proximal term, see :func:`ovnsvm.linear._minimize`).  ``hp.alpha``
+    plays the pairwise coupling role here.  Blocks are sized r + 1 for the
+    rank r of the factor; the trailing coordinate of each block is the
+    class bias.
     """
-    parts = _kernel_parts(dataset.class_index_sets(), gram_matrix, mode, hp)
+    parts, _, _ = _kernel_parts(dataset.class_index_sets(), gram_matrix, mode, hp)
     return parts.system(state.z)
 
 
@@ -161,20 +193,30 @@ def fit_kernel(
     hp : Hyperparameters
         ``hp.alpha`` is the coupling coefficient of soft-w modes.
     ridge : float
-        Jitter added to the Gram diagonal so the factorization survives
-        duplicate patterns.
+        Jitter added to the Gram diagonal.
 
     Returns
     -------
     TrainedKernelModel
+
+    Notes
+    -----
+    The fit is the linear fit (:func:`ovnsvm.linear._minimize`) on the
+    rows of the pivoted Cholesky factor R of the Gram matrix.  The
+    coefficients A are the pivot patterns' part of the same weights, so
+    the model file and the scoring path are those of a full kernel model.
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, mode, hp)
-    parts = _kernel_parts(sets, gram(kernel, dataset.features, ridge), mode, hp)
+    gram_matrix = gram(kernel, dataset.features, ridge)
+    parts, L, pivots = _kernel_parts(sets, gram_matrix, mode, hp)
     run = _minimize(parts, hp)
-    N = dataset.n_instances
-    G = parts.metric[:N, :N]  # the padded metric holds the fit's only Gram copy
-    A, b = run.w[:, :N].copy(), run.w[:, N].copy()
+    r = len(pivots)
+    # w_k = L' a_k on the pivot coefficients a_k, with L = R[pivots]
+    A = np.zeros((len(sets), dataset.n_instances))
+    A[:, pivots] = solve_triangular(L, run.w[:, :r].T, lower=True, trans="T").T
+    b = run.w[:, r].copy()
+    G = gram_matrix.values
     return TrainedKernelModel(
         A=A,
         b=b,

@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lstsq, null_space
+from scipy.linalg import cho_factor, cho_solve
 
 from .data import Dataset, augment_rows
 from .errors import HessianNotPD, MaxItersExceeded, SingularSystem
@@ -106,7 +106,9 @@ class TrainedLinearModel:
     solve (non-increasing); ``hinge_trace`` holds the training objective at
     the same iterates.  ``kkt_residual`` is the relative residual of the
     final first-order system solve.  ``final_objective`` reports the halved
-    norm convention of :func:`objective`.
+    norm convention of :func:`objective`, which halves the norms but not
+    the coupling; for alpha > 1 or alpha < -1/(K-1) it can lie far below
+    the minimized value, which :func:`training_objective` gives.
     """
 
     W: np.ndarray
@@ -140,7 +142,8 @@ class AssembledSystem:
     Parameters
     ----------
     H : ndarray
-        Symmetric L x L curvature matrix, L = K * (M + 1).
+        Symmetric L x L curvature matrix, L = K * (M + 1), with M the
+        feature count (the rank of the Gram factor in kernel fits).
     rhs : ndarray
         Length-L right side of the first-order system.
     constraint_matrix : ndarray
@@ -178,14 +181,16 @@ def _constraint_columns(mode: ConstraintMode, K: int, P: int) -> np.ndarray:
 class _FixedParts:
     """The parts of the surrogate system that stay fixed during one fit.
 
-    ``rows[k]`` holds the augmented rows of class k's positives ([x_i; 1]
-    in the primal, the Gram column [g_i; 1] in kernel form), so class k's
-    projections are ``rows[k] @ w_k``.  Without the hinge blocks the
-    curvature is coupling (x) metric + gamma uu', where coupling is I plus
-    alpha/2 off the diagonal in soft-w modes, metric is the per-class
-    regularizer D, u picks the biases and gamma is 0 in hard-b modes.  It
-    is rebuilt for every system rather than stored, which would keep one
-    more matrix of the system's order alive through the solve.
+    ``rows[k]`` holds the augmented feature rows [x_i; 1] of class k's
+    positives (the patterns in the primal, the rows of the Gram factor in
+    kernel fits), so class k's projections are ``rows[k] @ w_k``.  Without
+    the hinge blocks the curvature is coupling (x) metric + gamma uu',
+    where coupling is I plus alpha/2 off the diagonal in soft-w modes,
+    metric is the per-class regularizer D, u picks the biases and gamma is
+    0 in hard-b modes.  It is rebuilt for every system rather than stored,
+    which would keep one more matrix of the system's order alive through
+    the solve.  ``flat`` projects onto the null space of a singular
+    coupling, on an edge of the window, and is None inside it.
     """
 
     rows: list
@@ -195,6 +200,7 @@ class _FixedParts:
     constraint_matrix: np.ndarray
     beta: float
     note: str
+    flat: np.ndarray | None = None
 
     def system(self, z) -> AssembledSystem:
         """The surrogate system at the auxiliaries ``z``, one array per class."""
@@ -216,24 +222,36 @@ class _FixedParts:
         return quad + self.gamma * float(np.sum(Wb[:, -1])) ** 2
 
 
-def _fixed_parts(rows, metric, mode, hp, note) -> _FixedParts:
-    K, P = len(rows), metric.shape[0]
-    coupling = np.eye(K)
-    if mode.w_constraint == "soft":
-        coupling += (hp.alpha / 2.0) * (np.ones((K, K)) - np.eye(K))
-    gamma = hp.gamma if mode.b_constraint == "soft" else 0.0
-    return _FixedParts(
-        rows, coupling, metric, gamma, _constraint_columns(mode, K, P), hp.beta, note
-    )
+# a coupling eigenvalue below this counts as zero, so that alpha = -2/(K-1),
+# whose rounding leaves 1e-16 at K = 50, is still an edge of the window
+_FLAT_COUPLING = 1e-8
 
 
-def _linear_parts(dataset, sets, mode, hp) -> _FixedParts:
-    M = dataset.n_features
-    Xa = augment_rows(dataset.features)
+def _linear_parts(X, sets, mode, hp, context="") -> _FixedParts:
+    """The fixed parts of a fit on the feature rows X (N x M).
+
+    ``context`` extends the hyperparameter note of solver errors.
+    """
+    K, M = len(sets), X.shape[1]
+    Xa = augment_rows(X)
     D = np.eye(M + 1)
     D[M, M] = 0.0  # the regularizer does not touch the bias coordinate
-    note = f"alpha={hp.alpha}, beta={hp.beta}, mode={mode.token}"
-    return _fixed_parts([Xa[idx] for idx in sets], D, mode, hp, note)
+    coupling, flat = np.eye(K), None
+    if mode.w_constraint == "soft":
+        coupling += (hp.alpha / 2.0) * (np.ones((K, K)) - np.eye(K))
+        # the coupling's eigenvalues on class contrasts and on the class mean
+        # (see _validate_fit_inputs), with the projectors onto those spaces
+        J = np.full((K, K), 1.0 / K)
+        spaces = [(1 - hp.alpha / 2, np.eye(K) - J), (1 + (K - 1) * hp.alpha / 2, J)]
+        null = [proj for lam, proj in spaces if lam < _FLAT_COUPLING]
+        flat = sum(null) if null else None
+    gamma = hp.gamma if mode.b_constraint == "soft" else 0.0
+    return _FixedParts(
+        [Xa[idx] for idx in sets], coupling, D, gamma,
+        _constraint_columns(mode, K, M + 1), hp.beta,
+        f"alpha={hp.alpha}, beta={hp.beta}, mode={mode.token}{context}",
+        flat,
+    )
 
 
 def assemble(
@@ -257,45 +275,19 @@ def assemble(
     AssembledSystem
         Curvature H, right-side vector, and hard-constraint columns.
     """
-    parts = _linear_parts(dataset, dataset.class_index_sets(), mode, hp)
+    parts = _linear_parts(dataset.features, dataset.class_index_sets(), mode, hp)
     return parts.system(state.z)
 
 
-_PD_REL_TOL = 1e-10  # negative curvature below this (relative) is genuine
-_EIG_FLOOR_REL = 1e-14  # floor for numerically-zero eigenvalues in the fallback
-
-
-def _spd_solver(Hmat, note, what):
-    """Return a solve closure for an SPD matrix, or raise HessianNotPD.
-
-    Cholesky first.  Low-rank kernel blocks put eigenvalues at the ridge
-    scale where Cholesky can fail spuriously, so on failure the decision
-    is retried on the spectrum: eigenvalues above -_PD_REL_TOL * scale
-    count as numerically nonnegative and are floored for the solve, while
-    anything lower is genuine negative curvature.
-    """
-    try:
-        f = cho_factor(Hmat, lower=True, check_finite=False)
-        return lambda v: cho_solve(f, v, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    lam, Q = np.linalg.eigh(Hmat)
-    scale = max(1.0, float(lam[-1]))
-    if float(lam[0]) <= -_PD_REL_TOL * scale:
-        raise HessianNotPD(f"{what} not positive definite ({note})") from None
-    lam = np.maximum(lam, _EIG_FLOOR_REL * scale)
-    return lambda v: Q @ ((Q.T @ v) / lam)
-
-
-def _solve_reduced(H, rhs, U, note, Z=None):
+def _solve_reduced(H, rhs, U, note):
     """Solve [[2H, U], [U', 0]] [w; lam] = [rhs; 0].
 
-    Fast path: factorize 2H on the full space and eliminate the constraint
-    block.  When 2H is positive definite only on the constraint null space
-    (a boundary coupling coefficient can do that), fall back to the
-    null-space reduction with an orthonormal basis Z, computing it if the
-    caller has not cached one.  Returns (w, multipliers, relative KKT
-    residual, Z) so callers can reuse the basis across iterations.
+    Factorizes 2H by Cholesky and, when there are constraint columns,
+    eliminates them through the Schur complement U' (2H)^-1 U.  Refinement
+    rounds are kept only when the true KKT residual drops: near the
+    epsilon floor the system is ill-conditioned enough that a round can
+    overshoot, and an accepted overshoot surfaces later as a surrogate
+    rise.  Returns (w, multipliers, relative KKT residual).
     """
     H2 = 2.0 * H
     bvec = np.asarray(rhs, dtype=float)
@@ -303,86 +295,40 @@ def _solve_reduced(H, rhs, U, note, Z=None):
         raise SingularSystem("assembled system contains non-finite entries")
     denom = max(float(np.linalg.norm(bvec)), np.finfo(float).tiny)
     c = U.shape[1]
-
-    if c == 0:
-        solve = _spd_solver(H2, note, "Hessian")
-        w = solve(bvec)
-        best_r = float(np.linalg.norm(bvec - H2 @ w))
-        # Refinement rounds are kept only when the true residual drops:
-        # near the epsilon floor the system is ill-conditioned enough that
-        # a round can overshoot, and an accepted overshoot surfaces later
-        # as a surrogate rise.
-        for _ in range(4):
-            if best_r <= 1e-15 * denom:
-                break
-            cand = w + solve(bvec - H2 @ w)
-            cand_r = float(np.linalg.norm(bvec - H2 @ cand))
-            if cand_r >= best_r:
-                break
-            w, best_r = cand, cand_r
-        return w, np.zeros(0), best_r / denom, Z
-
     try:
         f = cho_factor(H2, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
-        f = None
-    if f is not None:
-        x = cho_solve(f, bvec, check_finite=False)
+        raise HessianNotPD(f"2H not positive definite on the full space ({note})") from None
+    x = cho_solve(f, bvec, check_finite=False)
+    w, lam = x, np.zeros(0)
+    if c:
         Y = cho_solve(f, U, check_finite=False)
         S = U.T @ Y
         S = 0.5 * (S + S.T)
         try:
             fs = cho_factor(S, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
-            raise SingularSystem(
-                f"constraint block is rank deficient ({note})"
-            ) from None
+            raise SingularSystem(f"constraint block is rank deficient ({note})") from None
         lam = cho_solve(fs, U.T @ x, check_finite=False)
         w = x - Y @ lam
-        r1 = bvec - H2 @ w - U @ lam
-        r2 = -(U.T @ w)
-        best_r = float(np.sqrt(np.sum(r1 * r1) + np.sum(r2 * r2)))
-        for _ in range(4):  # monotone refinement, see the c == 0 branch
-            if best_r <= 1e-15 * denom:
-                break
-            dx = cho_solve(f, r1, check_finite=False)
-            dlam = cho_solve(fs, U.T @ dx - r2, check_finite=False)
-            w_c = w + dx - Y @ dlam
-            lam_c = lam + dlam
-            c1 = bvec - H2 @ w_c - U @ lam_c
-            c2 = -(U.T @ w_c)
-            cand_r = float(np.sqrt(np.sum(c1 * c1) + np.sum(c2 * c2)))
-            if cand_r >= best_r:
-                break
-            w, lam, r1, r2, best_r = w_c, lam_c, c1, c2, cand_r
-        return w, lam, best_r / denom, Z
-
-    if Z is None:
-        Z = null_space(U.T)
-    A = Z.T @ H2 @ Z
-    A = 0.5 * (A + A.T)
-    solve = _spd_solver(A, note, "reduced Hessian")
-    def _kkt_norm(wv, lv):
-        r1 = bvec - H2 @ wv - U @ lv
-        r2 = U.T @ wv
-        return float(np.sqrt(np.sum(r1 * r1) + np.sum(r2 * r2)))
-
-    y = solve(Z.T @ bvec)
-    w = Z @ y
-    lam = lstsq(U, bvec - H2 @ w, check_finite=False)[0]
-    best_r = _kkt_norm(w, lam)
-    for _ in range(4):  # monotone refinement, see the c == 0 branch
+    r1 = bvec - H2 @ w - U @ lam
+    r2 = -(U.T @ w)
+    best_r = float(np.sqrt(np.sum(r1 * r1) + np.sum(r2 * r2)))
+    for _ in range(4):
         if best_r <= 1e-15 * denom:
             break
-        y_c = y + solve(Z.T @ (bvec - H2 @ w - U @ lam))
-        w_c = Z @ y_c
-        lam_c = lstsq(U, bvec - H2 @ w_c, check_finite=False)[0]
-        cand_r = _kkt_norm(w_c, lam_c)
+        dx = cho_solve(f, r1, check_finite=False)
+        w_c, lam_c = w + dx, lam
+        if c:
+            dlam = cho_solve(fs, U.T @ dx - r2, check_finite=False)
+            w_c, lam_c = w + dx - Y @ dlam, lam + dlam
+        c1 = bvec - H2 @ w_c - U @ lam_c
+        c2 = -(U.T @ w_c)
+        cand_r = float(np.sqrt(np.sum(c1 * c1) + np.sum(c2 * c2)))
         if cand_r >= best_r:
             break
-        y, w, lam, best_r = y_c, w_c, lam_c, cand_r
-
-    return w, lam, best_r / denom, Z
+        w, lam, r1, r2, best_r = w_c, lam_c, c1, c2, cand_r
+    return w, lam, best_r / denom
 
 
 def solve_kkt(system: AssembledSystem):
@@ -401,13 +347,14 @@ def solve_kkt(system: AssembledSystem):
     Raises
     ------
     HessianNotPD
-        If the reduced Hessian fails its Cholesky factorization.
+        If 2H fails its Cholesky factorization on the full space, even
+        where the constraint columns would make the KKT matrix regular.
+        Nothing is floored or projected out.
     SingularSystem
-        If the assembled system contains non-finite entries.
+        If the assembled system contains non-finite entries or its
+        constraint columns are linearly dependent.
     """
-    w, lam, _, _ = _solve_reduced(
-        system.H, system.rhs, system.constraint_matrix, system.note
-    )
+    w, lam, _ = _solve_reduced(system.H, system.rhs, system.constraint_matrix, system.note)
     return w, lam
 
 
@@ -504,6 +451,13 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     h(anchor) <= h(w_t) <= F_t, so the trace does not rise.  w_e meets the
     hard constraints because they are linear and both iterates meet them.
 
+    On an edge of the coupling window the surrogate can be flat along
+    coupling null directions (``parts.flat``) that the hinge terms do not
+    curve.  Each solve there adds ||w - w_a||^2 in flat (x) metric around
+    the point w_a where z is tight (w = 0 for the initial z = 1).  The sum
+    still majorizes the objective, is tight at w_a and has a positive
+    definite 2H, so the bound chain above holds.
+
     Stops when the relative surrogate change drops below ``hp.tol``; at
     ``hp.max_iters`` the last iterate is returned with ``converged=False``
     and a MaxItersExceeded warning.
@@ -517,17 +471,19 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     def tight(reg, u):
         return reg + beta * float(np.sum(majorizer(u, z_update(u, eps))))
 
-    Z = None  # null-space basis, cached only if the fallback path computes it
     hinge_trace: list = []
     prev_F = None
     prev = None  # (w, u) of the previous solve
+    w_a = np.zeros(K * P)  # the point at which the auxiliaries are tight
     converged = False
     iterations = hp.max_iters
     for t in range(1, hp.max_iters + 1):  # Hyperparameters keeps max_iters >= 1
         system = parts.system(state.z)
-        w, _, resid, Z = _solve_reduced(
-            system.H, system.rhs, parts.constraint_matrix, parts.note, Z
-        )
+        H, rhs = system.H, system.rhs
+        if parts.flat is not None:
+            E = np.kron(parts.flat, parts.metric)
+            H, rhs = H + E, rhs + 2.0 * (E @ w_a)
+        w, _, resid = _solve_reduced(H, rhs, parts.constraint_matrix, parts.note)
         # projections of every class's positives, class after class
         u = np.concatenate([A_k @ w_k for A_k, w_k in zip(parts.rows, w.reshape(K, P))])
         reg = parts.regularizer(w)
@@ -539,11 +495,11 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
             iterations = t
             break
         prev_F = F
-        anchor = u
+        anchor, w_a = u, w
         if prev is not None:
             w_e, u_e = 2.0 * w - prev[0], 2.0 * u - prev[1]
             if tight(parts.regularizer(w_e), u_e) <= tight(reg, u):
-                anchor = u_e
+                anchor, w_a = u_e, w_e
         prev = (w, u)
         state.update(np.split(anchor, cuts))
     if not converged:
@@ -577,8 +533,8 @@ def fit_linear(
     ------
     HessianNotPD
         If ``hp.alpha`` is outside -2/(K-1) <= alpha <= 2 in soft-w modes
-        (checked before any factorization), or a reduced Hessian is
-        indefinite.
+        (checked before any factorization), or a surrogate Hessian is
+        singular or indefinite.
 
     Notes
     -----
@@ -589,7 +545,7 @@ def fit_linear(
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, mode, hp)
-    run = _minimize(_linear_parts(dataset, sets, mode, hp), hp)
+    run = _minimize(_linear_parts(dataset.features, sets, mode, hp), hp)
     M = dataset.n_features
     W, b = run.w[:, :M].copy(), run.w[:, M].copy()
     return TrainedLinearModel(

@@ -113,7 +113,7 @@ T5_BANDS = {
 
 # Cross-validated benchmark grids, pinned small enough that every table
 # finishes well inside the desk-scale budget (each kernel solve is cubic
-# in K*(N+1)).
+# in K*(r+1), with r <= N the rank of the Gram factor).
 T4_LINEAR_GRID = dict(
     alphas=(0.5, 1.0, 1.5),
     betas=(1.0, 10.0, 100.0),

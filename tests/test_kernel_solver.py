@@ -20,6 +20,7 @@ from ovnsvm import (
     training_objective,
     training_objective_kernel,
 )
+from ovnsvm.reproduce import T3_MAX_ITERS, T3_RECIPES, T3_TOL
 
 DEEP = Hyperparameters(alpha=0.5, beta=5.0, tol=1e-12, max_iters=3000)
 
@@ -106,15 +107,50 @@ def test_gaussian_kernel_separates_the_interleaved_toy():
     assert np.mean(pred == truth) == 1.0
 
 
+@pytest.mark.parametrize(
+    "name", [n for n, rec in T3_RECIPES.items() if rec["kernel"]["kind"] == "gaussian"]
+)
+def test_t3_gaussian_surrogate_traces_never_rise(name):
+    # every surrogate is minimized exactly, so the bound argument holds at
+    # any BLAS thread count; a floored or projected solve would break it
+    rec = T3_RECIPES[name]
+    d = synth_generate(SynthSpec(name, n_per_cluster=rec["n_per_cluster"], seed=rec["seed"]))
+    hp = Hyperparameters(
+        alpha=rec["alpha"], beta=rec["beta"], max_iters=T3_MAX_ITERS, tol=T3_TOL
+    )
+    model = fit_kernel(d, KernelSpec(**rec["kernel"]), ConstraintMode("soft", "hard"), hp)
+    trace = np.asarray(model.surrogate_trace)
+    assert np.all(np.diff(trace) <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+@pytest.mark.parametrize("token", ["sw-sb", "sw-hb", "hw-sb", "hw-hb"])
+def test_rank_zero_gram_fits_the_biases(token):
+    # all-zero patterns under the linear kernel without ridge: the Gram
+    # factor has no columns and only the biases are left to fit
+    d = Dataset(np.zeros((4, 2)), [[1, 0], [1, 0], [1, 0], [0, 1]])
+    mode = ConstraintMode.from_token(token)
+    model = fit_kernel(d, KernelSpec(kind="linear"), mode, Hyperparameters(), ridge=0.0)
+    assert model.converged
+    np.testing.assert_array_equal(model.A, np.zeros((2, 4)))
+    # soft-b: both biases sit on the margin; hard-b: the class with more
+    # positives does
+    expected = [1.0, 1.0] if mode.b_constraint == "soft" else [1.0, -1.0]
+    np.testing.assert_allclose(model.b, expected, atol=1e-5)
+    if mode.b_constraint == "hard":
+        assert abs(model.b.sum()) <= 1e-8
+
+
 def test_assemble_kernel_block_structure():
     d = Dataset([[0.0], [1.0]], [[1, 0], [0, 1]])
     gm = gram(KernelSpec(kind="linear"), d.features, ridge=0.0)
     state = MMState.fresh([1, 1])
     sys_ = assemble_kernel(d, gm, ConstraintMode("hard", "hard"), Hyperparameters(), state)
-    P = d.n_instances + 1
+    # the Gram matrix has rank 1, so each block holds one factor coordinate
+    # and the bias
+    P = 2
     assert sys_.H.shape == (2 * P, 2 * P)
-    # hard-w: one zero-sum column per training pattern, plus the bias column
-    assert sys_.constraint_matrix.shape == (2 * P, d.n_instances + 1)
+    # hard-w: one zero-sum column per factor coordinate, plus the bias column
+    assert sys_.constraint_matrix.shape == (2 * P, P)
     # hard mode leaves the cross-class block empty
     np.testing.assert_array_equal(sys_.H[:P, P:], np.zeros((P, P)))
 

@@ -7,7 +7,7 @@ import pytest
 
 import ovnsvm.kernel
 import ovnsvm.linear
-from conftest import quiet_max_iters, random_multilabel
+from conftest import quiet_max_iters, random_multiclass, random_multilabel
 from ovnsvm import (
     AssembledSystem,
     ConstraintMode,
@@ -22,9 +22,11 @@ from ovnsvm import (
     feasibility,
     fit_kernel,
     fit_linear,
+    gram,
     objective,
     solve_kkt,
     training_objective,
+    training_objective_kernel,
 )
 from ovnsvm.oracle import subgradient_fit
 
@@ -130,6 +132,19 @@ class TestSolve:
         with pytest.raises(SingularSystem):
             solve_kkt(sys_)
 
+    def test_singular_surrogate_raises_instead_of_being_floored(self):
+        # no constraint columns and a singular 2H: there is no minimizer
+        sys_ = AssembledSystem(np.diag([1.0, 0.0]), np.ones(2), np.zeros((2, 0)))
+        with pytest.raises(HessianNotPD):
+            solve_kkt(sys_)
+        # a hard constraint on the null direction of 2H: the KKT matrix is
+        # regular and the constrained problem has one solution, but the
+        # solve factorizes 2H on the full space, where it is singular
+        U = np.array([[0.0], [0.0], [1.0]])
+        sys_ = AssembledSystem(np.diag([1.0, 1.0, 0.0]), np.ones(3), U)
+        with pytest.raises(HessianNotPD, match="not positive definite on the full space"):
+            solve_kkt(sys_)
+
     def test_indefinite_coupling_raises(self):
         # the pairwise coupling exceeds the diagonal for alpha > 2 and the
         # tiny hinge weight cannot lift the negative eigenvalue back up
@@ -165,6 +180,40 @@ class TestSolve:
         d = random_multilabel(np.random.default_rng(0), 40, 3, 3)
         model = fit_linear(d, ConstraintMode("soft", "hard"), Hyperparameters(alpha=alpha))
         assert model.converged and np.all(np.isfinite(model.W))
+
+    @pytest.mark.parametrize(
+        "solver, K, alpha",
+        [("kernel", 5, -0.5), ("kernel", 3, 2.0), ("kernel", 3, -1.0),
+         ("linear", 3, 2.0), ("linear", 3, -1.0)],
+    )
+    @pytest.mark.parametrize("token", ["sw-hb", "sw-sb"])
+    def test_coupling_on_the_window_edge_fits_where_2h_is_singular(
+        self, solver, K, alpha, token
+    ):
+        # on an edge the coupling is singular, and the gaussian Gram factor
+        # (N coordinates) or more features than patterns leave coupling null
+        # directions without hinge curvature: the surrogate has no unique
+        # minimizer.  Along them every class can put its positives on the
+        # margin at no cost, so the minimum is 0.
+        mode = ConstraintMode.from_token(token)
+        hp = Hyperparameters(alpha=alpha, beta=10.0)
+        if solver == "kernel":
+            d = random_multiclass(np.random.default_rng(0), 40, 3, K)
+            spec = KernelSpec(kind="gaussian")
+            model = fit_kernel(d, spec, mode, hp)
+            W, b = model.A, model.b
+            value = training_objective_kernel(d, gram(spec, d.features), W, b, mode, hp)
+        else:
+            d = random_multiclass(np.random.default_rng(1), 8, 12, K)
+            model = fit_linear(d, mode, hp)
+            W, b = model.W, model.b
+            value = training_objective(d, W, b, mode, hp)
+        assert model.converged and np.all(np.isfinite(W))
+        trace = np.asarray(model.surrogate_trace)
+        assert np.all(np.diff(trace) <= 1e-10 * np.maximum(1.0, np.abs(trace[:-1])))
+        assert 0.0 <= value <= 1e-6
+        if mode.b_constraint == "hard":
+            assert abs(b.sum()) <= 1e-8
 
 
 class TestFit:
