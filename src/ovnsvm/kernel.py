@@ -130,9 +130,10 @@ def assemble_kernel(
 ) -> AssembledSystem:
     """Build the kernel surrogate system for the current auxiliaries.
 
-    This is the linear system on the rows of the Gram factor R that
-    ``fit_kernel`` solves (on an edge of the coupling window the fit adds
-    a proximal term, see :func:`ovnsvm.linear._minimize`).  ``hp.alpha``
+    This is the dense reference of the linear system on the rows of the
+    Gram factor R that ``fit_kernel`` solves by class blocks (on an edge
+    of the coupling window the fit adds a proximal term, see
+    :func:`ovnsvm.linear._minimize`).  ``hp.alpha``
     plays the pairwise coupling role here.  Blocks are sized r + 1 for the
     rank r of the factor; the trailing coordinate of each block is the
     class bias.

@@ -8,7 +8,11 @@ pairwise coupling between classes is either penalized (soft) or constrained
 Training alternates a KKT solve of the quadratic surrogate problem in the
 stacked augmented weights with the closed-form auxiliary update, taken at
 the doubled step when a safeguard allows (``_minimize``, which the kernel
-solver runs too).  The surrogate objective value never increases.
+solver runs too).  Classes meet only through the sum of their weight
+vectors, so each solve takes one small Cholesky factor per class and one
+system in the shared sum (``_solve_blocks``); ``assemble`` and
+``solve_kkt`` keep the dense system as the reference.  The surrogate
+objective value never increases.
 
 Two objective evaluators are exposed.  ``training_objective`` is the
 functional the solver actually minimizes,
@@ -31,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs, dtrtri
 
 from .data import Dataset, augment_rows
 from .errors import HessianNotPD, MaxItersExceeded, SingularSystem
@@ -137,7 +142,11 @@ class TrainedLinearModel:
 
 @dataclass
 class AssembledSystem:
-    """One surrogate quadratic problem, ready for the KKT solve.
+    """One surrogate quadratic problem as the dense reference system.
+
+    Fits never build it: they solve the same problem by class blocks (see
+    :func:`_solve_blocks`).  Tests and callers that want the whole matrix
+    use it with :func:`solve_kkt`.
 
     Parameters
     ----------
@@ -159,24 +168,6 @@ class AssembledSystem:
     note: str = ""
 
 
-def _constraint_columns(mode: ConstraintMode, K: int, P: int) -> np.ndarray:
-    # columns of the constraint matrix; P is the per-class block size
-    L = K * P
-    cols = []
-    if mode.w_constraint == "hard":
-        for m in range(P - 1):
-            c = np.zeros(L)
-            c[m::P] = 1.0  # sum over classes of coordinate m
-            cols.append(c)
-    if mode.b_constraint == "hard":
-        c = np.zeros(L)
-        c[P - 1 :: P] = 1.0  # sum of biases
-        cols.append(c)
-    if not cols:
-        return np.zeros((L, 0))
-    return np.column_stack(cols)
-
-
 @dataclass
 class _FixedParts:
     """The parts of the surrogate system that stay fixed during one fit.
@@ -185,26 +176,36 @@ class _FixedParts:
     positives (the patterns in the primal, the rows of the Gram factor in
     kernel fits), so class k's projections are ``rows[k] @ w_k``.  Without
     the hinge blocks the curvature is coupling (x) metric + gamma uu',
-    where coupling is I plus alpha/2 off the diagonal in soft-w modes,
-    metric is the per-class regularizer D, u picks the biases and gamma is
-    0 in hard-b modes.  It is rebuilt for every system rather than stored,
-    which would keep one more matrix of the system's order alive through
-    the solve.  ``flat`` projects onto the null space of a singular
-    coupling, on an edge of the window, and is None inside it.
+    where coupling is (1 - pair) I + pair 11' (pair = alpha/2 in soft-w
+    modes, 0 in hard-w modes), metric is the diagonal per-class
+    regularizer D, u picks the biases and gamma is 0 in hard-b modes.
+    ``hard`` marks the coordinates whose sum over the classes is held at 0.
+    ``flat = (f0, f1)`` names the projector f0 I + f1 11'/K onto the null
+    space of a singular coupling, on an edge of the window, and is None
+    inside it.
+
+    Every one of those cross-class terms acts through sum_k w_k, so the
+    fit solves each surrogate by class blocks (:meth:`blocks`,
+    :func:`_solve_blocks`); :meth:`system` assembles the same problem as
+    the dense reference.
     """
 
     rows: list
-    coupling: np.ndarray
+    pair: float
     metric: np.ndarray
     gamma: float
-    constraint_matrix: np.ndarray
+    hard: np.ndarray
     beta: float
     note: str
-    flat: np.ndarray | None = None
+    flat: tuple | None = None
+
+    def __post_init__(self):
+        K = len(self.rows)
+        self.coupling = np.eye(K) + self.pair * (np.ones((K, K)) - np.eye(K))
 
     def system(self, z) -> AssembledSystem:
-        """The surrogate system at the auxiliaries ``z``, one array per class."""
-        P = self.metric.shape[0]
+        """The dense reference system at the auxiliaries ``z``, one array per class."""
+        K, P = len(self.rows), self.metric.shape[0]
         H = np.kron(self.coupling, self.metric)
         H[P - 1 :: P, P - 1 :: P] += self.gamma
         rhs = np.zeros(H.shape[0])
@@ -213,13 +214,42 @@ class _FixedParts:
             s = slice(k * P, (k + 1) * P)
             H[s, s] += (self.beta / 4.0) * (A_k.T * a) @ A_k
             rhs[s] = (self.beta / 2.0) * ((1.0 + a) @ A_k)
-        return AssembledSystem(H, rhs, self.constraint_matrix, self.note)
+        # one column per held coordinate, summing it over the classes
+        U = np.kron(np.ones((K, 1)), np.eye(P)[:, self.hard])
+        return AssembledSystem(H, rhs, U, self.note)
+
+    def blocks(self, z, w_a):
+        """The surrogate at ``z`` by class blocks: (F, rhs, shared).
+
+        2H = blockdiag(F_k) + V diag(shared) V' with V = 1_K (x) I_P, so
+        F_k = 2 (c0 D + S_k) with S_k = (beta/4) A_k' diag(1/z_k) A_k and
+        shared = 2 C.  The coupling gives c0 = 1 - pair and C = pair diag(D),
+        the bias sum adds gamma to C.  On an edge of the window the
+        proximal term ||w - w_a||^2 in E = (f0 I + f1 11'/K) (x) D is added:
+        f0 to c0, f1/K diag(D) to C, and 2 E w_a to rhs.
+        """
+        K, P = len(self.rows), self.metric.shape[0]
+        d = np.diag(self.metric)
+        c0, C = 1.0 - self.pair, self.pair * d
+        C[P - 1] += self.gamma
+        F = np.empty((K, P, P))
+        rhs = np.empty((K, P))
+        h = self.beta / 2.0
+        for k, (A_k, z_k) in enumerate(zip(self.rows, z)):
+            a = 1.0 / z_k
+            np.matmul(A_k.T * (h * a), A_k, out=F[k])
+            rhs[k] = h * ((1.0 + a) @ A_k)
+        if self.flat is not None:
+            f0, f1 = self.flat
+            c0, C = c0 + f0, C + (f1 / K) * d
+            rhs += 2.0 * d * (f0 * w_a + (f1 / K) * w_a.sum(axis=0))
+        F.reshape(K, P * P)[:, :: P + 1] += 2.0 * c0 * d
+        return F, rhs, 2.0 * C
 
     def regularizer(self, w) -> float:
-        """w' H w without the hinge blocks, for stacked weights w."""
-        Wb = w.reshape(len(self.rows), -1)
-        quad = float(np.sum(self.coupling * (Wb @ self.metric @ Wb.T)))
-        return quad + self.gamma * float(np.sum(Wb[:, -1])) ** 2
+        """w' H w without the hinge blocks, for the K x P weights w."""
+        quad = float(np.sum(self.coupling * (w @ self.metric @ w.T)))
+        return quad + self.gamma * float(np.sum(w[:, -1])) ** 2
 
 
 # a coupling eigenvalue below this counts as zero, so that alpha = -2/(K-1),
@@ -236,19 +266,21 @@ def _linear_parts(X, sets, mode, hp, context="") -> _FixedParts:
     Xa = augment_rows(X)
     D = np.eye(M + 1)
     D[M, M] = 0.0  # the regularizer does not touch the bias coordinate
-    coupling, flat = np.eye(K), None
+    pair, flat = 0.0, None
     if mode.w_constraint == "soft":
-        coupling += (hp.alpha / 2.0) * (np.ones((K, K)) - np.eye(K))
+        pair = hp.alpha / 2.0
         # the coupling's eigenvalues on class contrasts and on the class mean
         # (see _validate_fit_inputs), with the projectors onto those spaces
-        J = np.full((K, K), 1.0 / K)
-        spaces = [(1 - hp.alpha / 2, np.eye(K) - J), (1 + (K - 1) * hp.alpha / 2, J)]
-        null = [proj for lam, proj in spaces if lam < _FLAT_COUPLING]
-        flat = sum(null) if null else None
+        # as (f0, f1) of f0 I + f1 11'/K.  At K = 1 the contrast projector is
+        # 0, but its split still moves all of the coupling into the block.
+        spaces = [(1 - hp.alpha / 2, (1.0, -1.0)), (1 + (K - 1) * hp.alpha / 2, (0.0, 1.0))]
+        flat = next((proj for lam, proj in spaces if lam < _FLAT_COUPLING), None)
+    hard = np.zeros(M + 1, dtype=bool)
+    hard[:M] = mode.w_constraint == "hard"
+    hard[M] = mode.b_constraint == "hard"
     gamma = hp.gamma if mode.b_constraint == "soft" else 0.0
     return _FixedParts(
-        [Xa[idx] for idx in sets], coupling, D, gamma,
-        _constraint_columns(mode, K, M + 1), hp.beta,
+        [Xa[idx] for idx in sets], pair, D, gamma, hard, hp.beta,
         f"alpha={hp.alpha}, beta={hp.beta}, mode={mode.token}{context}",
         flat,
     )
@@ -257,7 +289,11 @@ def _linear_parts(X, sets, mode, hp, context="") -> _FixedParts:
 def assemble(
     dataset: Dataset, mode: ConstraintMode, hp: Hyperparameters, state: MMState
 ) -> AssembledSystem:
-    """Build the surrogate quadratic system for the current auxiliaries.
+    """Build the dense reference system for the current auxiliaries.
+
+    ``fit_linear`` solves the same surrogate by class blocks without
+    forming it; this order K (M + 1) matrix is what that solve is checked
+    against.
 
     Parameters
     ----------
@@ -332,7 +368,10 @@ def _solve_reduced(H, rhs, U, note):
 
 
 def solve_kkt(system: AssembledSystem):
-    """Solve the first-order block system of an assembled problem.
+    """Solve the first-order system of a dense reference problem.
+
+    One Cholesky factor of the whole 2H, as the reference for the fit's
+    solve by class blocks.
 
     Parameters
     ----------
@@ -356,6 +395,75 @@ def solve_kkt(system: AssembledSystem):
     """
     w, lam, _ = _solve_reduced(system.H, system.rhs, system.constraint_matrix, system.note)
     return w, lam
+
+
+def _solve_blocks(F, rhs, shared, hard, note):
+    """Solve [[2H, U], [U', 0]] [w; lam] = [rhs; 0] by class blocks.
+
+    2H = blockdiag(F_k) + V diag(shared) V' and U = V[:, hard], with
+    V = 1_K (x) I_P and ``shared`` zero on the held coordinates (see
+    :meth:`_FixedParts.blocks`).  Every class meets the others only through
+    s = sum_k w_k, so with q = shared * s + (lam on the held coordinates)
+    each class solves w_k = F_k^-1 (rhs_k - q), and q solves the P x P system
+
+        (diag(1 - hard) + diag(hard + shared) Sigma) q = (hard + shared) * xbar
+
+    with Sigma = sum_k F_k^-1 and xbar = sum_k F_k^-1 rhs_k.  That is K
+    Cholesky factors of order P and one LU factor of order P in place of
+    the Cholesky factor of order K P.  Refinement rounds on the residual of
+    the full KKT system are kept only when it drops, as in
+    :func:`_solve_reduced`.  ``F`` is (K, P, P) and ``rhs`` (K, P); returns
+    (w as K x P, multipliers, relative KKT residual).
+    """
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(rhs)) and np.all(np.isfinite(shared))):
+        raise SingularSystem("assembled system contains non-finite entries")
+    K, P = rhs.shape
+    factors = []
+    low_inv = np.empty((K, P, P))  # the L_k^-1 of F_k = L_k L_k'
+    for k in range(K):
+        # the blocks are symmetric, so F[k].T is the same block in the
+        # column-major layout LAPACK reads
+        c, info = dpotrf(F[k].T, lower=1, clean=1)
+        if info:
+            raise HessianNotPD(f"the block of class {k} is not positive definite ({note})")
+        low_inv[k] = dtrtri(c, lower=1)[0]
+        factors.append(c)
+    # F_k^-1 = L_k^-T L_k^-1; dpotri would give the same, but its result
+    # depends on the BLAS thread count
+    inv = np.matmul(low_inv.transpose(0, 2, 1), low_inv)
+    mix = hard + shared
+    B = mix[:, None] * inv.sum(axis=0)
+    B.flat[:: P + 1] += ~hard
+    lu, piv, info = dgetrf(B)
+    if info:
+        raise SingularSystem(f"the shared system of the class blocks is singular ({note})")
+
+    def solve(r, g):
+        # the solution for right side r and held sums g.  The shared term
+        # goes through the same inverses that Sigma sums, so the held sums
+        # of w match g to rounding, not to the blocks' condition number.
+        x = np.array([dpotrs(c, r_k, lower=1)[0] for c, r_k in zip(factors, r)])
+        q = dgetrs(lu, piv, mix * x.sum(axis=0) - hard * g)[0]
+        return x - inv @ q, q
+
+    def residual(w, q):
+        s = w.sum(axis=0)
+        r1 = rhs - np.matmul(F, w[:, :, None])[:, :, 0] - shared * s - hard * q
+        g = -(hard * s)
+        return r1, g, float(np.sqrt(np.sum(r1 * r1) + np.sum(g * g)))
+
+    denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
+    w, q = solve(rhs, np.zeros(P))
+    r1, g, best_r = residual(w, q)
+    for _ in range(4):
+        if best_r <= 1e-15 * denom:
+            break
+        dw, dq = solve(r1, g)
+        c1, cg, cand_r = residual(w + dw, q + dq)
+        if cand_r >= best_r:
+            break
+        w, q, r1, g, best_r = w + dw, q + dq, c1, cg, cand_r
+    return w, q[hard], best_r / denom
 
 
 def _pair_inner_sum(W: np.ndarray) -> float:
@@ -443,7 +551,12 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     """The MM iteration shared by the linear and the kernel solver.
 
     Each KKT solve gives w_t, the minimizer of the surrogate at the current
-    auxiliaries.  The bound is then re-anchored with safeguarded step
+    auxiliaries, by class blocks (:func:`_solve_blocks`): K Cholesky
+    factors of order P and one P x P system in the class sum, K P^3 +
+    O(P^3) flops against (K P)^3 / 3 for the dense factor.  A block that
+    is not positive definite raises HessianNotPD naming its class;
+    non-finite entries or a singular shared system raise SingularSystem.
+    The bound is then re-anchored with safeguarded step
     doubling: let h(w) be the surrogate with every z tight at w,
     z = max(|1 - u|, epsilon).  For t > 1 the auxiliaries are set from the
     doubled step w_e = 2 w_t - w_{t-1} when h(w_e) <= h(w_t), and from w_t
@@ -474,18 +587,13 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     hinge_trace: list = []
     prev_F = None
     prev = None  # (w, u) of the previous solve
-    w_a = np.zeros(K * P)  # the point at which the auxiliaries are tight
+    w_a = np.zeros((K, P))  # the point at which the auxiliaries are tight
     converged = False
     iterations = hp.max_iters
     for t in range(1, hp.max_iters + 1):  # Hyperparameters keeps max_iters >= 1
-        system = parts.system(state.z)
-        H, rhs = system.H, system.rhs
-        if parts.flat is not None:
-            E = np.kron(parts.flat, parts.metric)
-            H, rhs = H + E, rhs + 2.0 * (E @ w_a)
-        w, _, resid = _solve_reduced(H, rhs, parts.constraint_matrix, parts.note)
+        w, _, resid = _solve_blocks(*parts.blocks(state.z, w_a), parts.hard, parts.note)
         # projections of every class's positives, class after class
-        u = np.concatenate([A_k @ w_k for A_k, w_k in zip(parts.rows, w.reshape(K, P))])
+        u = np.concatenate([A_k @ w_k for A_k, w_k in zip(parts.rows, w)])
         reg = parts.regularizer(w)
         F = reg + beta * float(np.sum(majorizer(u, np.concatenate(state.z))))
         state.objective_trace.append(F)
@@ -509,7 +617,7 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
             stacklevel=3,
         )
     return _MMRun(
-        w.reshape(K, P), resid, converged, iterations, state.objective_trace, hinge_trace
+        w, resid, converged, iterations, state.objective_trace, hinge_trace
     )
 
 
@@ -533,8 +641,11 @@ def fit_linear(
     ------
     HessianNotPD
         If ``hp.alpha`` is outside -2/(K-1) <= alpha <= 2 in soft-w modes
-        (checked before any factorization), or a surrogate Hessian is
-        singular or indefinite.
+        (checked before any factorization), or the block of a class in a
+        surrogate Hessian is not positive definite.
+    SingularSystem
+        If a surrogate system has non-finite entries or its shared system
+        in the class sum is singular.
 
     Notes
     -----

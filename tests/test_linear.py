@@ -1,6 +1,11 @@
 """Linear solver: assembly, the constrained solve, and the fit loop."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from ovnsvm import (
     SingularSystem,
     KernelSpec,
     assemble,
+    assemble_kernel,
     feasibility,
     fit_kernel,
     fit_linear,
@@ -28,6 +34,8 @@ from ovnsvm import (
     training_objective,
     training_objective_kernel,
 )
+from ovnsvm.kernel import _kernel_parts
+from ovnsvm.linear import _linear_parts, _solve_blocks
 from ovnsvm.oracle import subgradient_fit
 
 MODES = [ConstraintMode.from_token(t) for t in ("sw-sb", "sw-hb", "hw-sb", "hw-hb")]
@@ -214,6 +222,142 @@ class TestSolve:
         assert 0.0 <= value <= 1e-6
         if mode.b_constraint == "hard":
             assert abs(b.sum()) <= 1e-8
+
+
+def _clamped_z(rng, sets, epsilon=1e-6):
+    # auxiliaries of every size, about a third of them on the epsilon clamp
+    z = [rng.uniform(0.01, 2.0, idx.size) for idx in sets]
+    for z_k in z:
+        z_k[rng.uniform(size=z_k.size) < 0.3] = epsilon
+    return z
+
+
+def _block_solve(parts, z, w_a):
+    w, lam, _ = _solve_blocks(*parts.blocks(z, w_a), parts.hard, parts.note)
+    return w.ravel(), lam
+
+
+def _assert_same_solution(got, ref):
+    # each part to 1e-9 of its own size; the weights of a one-class hw-hb
+    # problem are 0 by the constraints, so the whole solution sets the floor
+    whole = np.linalg.norm(np.concatenate(ref))
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape
+        assert np.linalg.norm(g - r) <= 1e-9 * max(np.linalg.norm(r), 1e-9 * whole)
+
+
+class TestBlockSolve:
+    """The fit's solve by class blocks against the dense reference solve."""
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.token)
+    @pytest.mark.parametrize(
+        "K, where",
+        [(K, where) for K in (1, 2, 3, 10)
+         for where in ("inside", "negative", "above one", "upper edge", "lower edge")
+         if K > 1 or where != "lower edge"],  # one class has no lower edge
+    )
+    def test_matches_the_dense_solve(self, mode, K, where):
+        alpha = {
+            "inside": 0.7, "negative": -1.0 / K, "above one": 1.6, "upper edge": 2.0,
+            "lower edge": -2.0 / (K - 1) if K > 1 else None,
+        }[where]
+        rng = np.random.default_rng(K)
+        d = random_multilabel(rng, 30, 4, K)
+        sets = d.class_index_sets()
+        hp = Hyperparameters(alpha=alpha, beta=3.0, gamma=0.7)
+        z = _clamped_z(rng, sets)
+        parts = _linear_parts(d.features, sets, mode, hp)
+        assert (parts.flat is not None) == (mode.w_constraint == "soft" and "edge" in where)
+        w_a = rng.standard_normal((K, d.n_features + 1))
+
+        dense = assemble(d, mode, hp, MMState(z))
+        H, rhs = dense.H, dense.rhs
+        if parts.flat is not None:
+            # the proximal term that the fit adds on an edge of the window
+            f0, f1 = parts.flat
+            E = np.kron(f0 * np.eye(K) + f1 * np.full((K, K), 1.0 / K), parts.metric)
+            H, rhs = H + E, rhs + 2.0 * (E @ w_a.ravel())
+        ref = solve_kkt(AssembledSystem(H, rhs, dense.constraint_matrix))
+        _assert_same_solution(_block_solve(parts, z, w_a), ref)
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.token)
+    def test_matches_the_dense_solve_on_the_gram_factor(self, mode):
+        rng = np.random.default_rng(4)
+        d = random_multilabel(rng, 25, 2, 3)
+        sets = d.class_index_sets()
+        hp = Hyperparameters(alpha=0.5, beta=5.0)
+        G = gram(KernelSpec(kind="gaussian", sigma=0.7), d.features)
+        parts, _, pivots = _kernel_parts(sets, G, mode, hp)
+        assert parts.metric.shape[0] == len(pivots) + 1
+        z = _clamped_z(rng, sets)
+        ref = solve_kkt(assemble_kernel(d, G, mode, hp, MMState(z)))
+        _assert_same_solution(_block_solve(parts, z, np.zeros((3, len(pivots) + 1))), ref)
+
+    def test_a_block_that_is_not_positive_definite_names_its_class(self):
+        F = np.stack([np.eye(3), -np.eye(3), np.eye(3)])
+        with pytest.raises(HessianNotPD, match="class 1 is not positive definite"):
+            _solve_blocks(F, np.ones((3, 3)), np.zeros(3), np.zeros(3, dtype=bool), "")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_hinge_blocks_raise_singular_system(self):
+        # x x' overflows to inf in the hinge blocks of both classes
+        d = Dataset([[1e200, 0.0], [0.0, 1e200]], [[1, 0], [0, 1]])
+        with pytest.raises(SingularSystem, match="non-finite"):
+            fit_linear(d, ConstraintMode("soft", "hard"), Hyperparameters())
+
+    def test_fit_memory_stays_below_one_dense_system(self):
+        K, M = 40, 20
+        d = random_multilabel(np.random.default_rng(3), 200, M, K)
+        dense = (K * (M + 1)) ** 2 * 8  # 5.6 MB of K P x K P doubles
+        tracemalloc.start()
+        try:
+            with quiet_max_iters():
+                model = fit_linear(d, ConstraintMode("soft", "hard"), Hyperparameters(max_iters=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.iterations_used == 3
+        assert peak < dense, f"peak {peak / 1e6:.1f} MB"
+
+
+_THREAD_FIT = """
+import sys, warnings
+import numpy as np
+from ovnsvm import ConstraintMode, Dataset, Hyperparameters, fit_linear
+
+rng = np.random.default_rng(5)
+X = rng.standard_normal((400, 30))
+Y = (X @ rng.standard_normal((30, 6)) > 0.8).astype(int)
+Y[np.arange(6), np.arange(6)] = 1
+Y[Y.sum(axis=1) == 0, 0] = 1
+for token in ("sw-sb", "sw-hb", "hw-sb", "hw-hb"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_linear(Dataset(X, Y), ConstraintMode.from_token(token), Hyperparameters())
+    sys.stdout.write((model.W.tobytes() + model.b.tobytes()).hex() + "\\n")
+"""
+
+
+def test_many_class_fit_is_the_same_at_any_blas_thread_count():
+    # K = 6 linear fits: the weights must not depend on how BLAS splits work
+    src = str(Path(ovnsvm.linear.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=path,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_FIT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestFit:
