@@ -50,8 +50,12 @@ def majorizer(u, z):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0):
         raise NonpositiveZ("surrogate needs z > 0")
-    r = 1.0 - np.asarray(u, dtype=float) + z
-    return r * r / (4.0 * z)
+    # (1 - u + z)^2 / (4 z) = hinge(u) + (|1 - u| - z)^2 / (4 z): adding a
+    # nonnegative gap to the hinge keeps dominance exact under rounding,
+    # which the expanded square loses near the touch point
+    d = 1.0 - np.asarray(u, dtype=float)
+    gap = np.abs(d) - z
+    return np.maximum(d, 0.0) + gap * gap / (4.0 * z)
 
 
 def z_update(u, epsilon: float = DEFAULT_EPSILON):
