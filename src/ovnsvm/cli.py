@@ -209,7 +209,8 @@ def _cmd_train(args) -> int:
     print(
         f"trained {args.solver} model: iterations={model.iterations_used} "
         f"converged={model.converged} objective={model.final_objective:.6g} "
-        f"kkt_residual={model.kkt_residual:.3e}"
+        f"kkt_residual={model.kkt_residual:.3e} "
+        f"interior_point={model.interior_point!r}"
     )
     print(f"saved model to {args.model_out}")
     return 0

@@ -44,7 +44,8 @@ class TrainedKernelModel:
     """Fit result: coefficient rows A (K x N), biases, and kernel context.
 
     Retains the training features because prediction needs kernel values
-    against them.  Diagnostics mirror TrainedLinearModel.
+    against them.  Diagnostics mirror TrainedLinearModel, ``interior_point``
+    included.
     """
 
     A: np.ndarray
@@ -60,6 +61,7 @@ class TrainedKernelModel:
     converged: bool = True
     surrogate_trace: list = field(default_factory=list)
     hinge_trace: list = field(default_factory=list)
+    interior_point: str = ""
 
     @property
     def n_classes(self) -> int:
@@ -203,9 +205,14 @@ def fit_kernel(
     Notes
     -----
     The fit is the linear fit (:func:`ovnsvm.linear._minimize`) on the
-    rows of the pivoted Cholesky factor R of the Gram matrix.  The
-    coefficients A are the pivot patterns' part of the same weights, so
-    the model file and the scoring path are those of a full kernel model.
+    rows of the pivoted Cholesky factor R of the Gram matrix, interior-point
+    anchor included, so ``interior_point`` reports on the same method.  On
+    an edge of the coupling window the Gram factor usually leaves coupling
+    null directions without hinge curvature; the interior-point Newton
+    system is singular there, that method stops on its first step, and MM
+    carries on alone.  The coefficients A are the pivot patterns' part of
+    the same weights, so the model file and the scoring path are those of
+    a full kernel model.
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, mode, hp)
@@ -233,6 +240,7 @@ def fit_kernel(
         converged=run.converged,
         surrogate_trace=run.surrogate_trace,
         hinge_trace=run.hinge_trace,
+        interior_point=run.interior_point,
     )
 
 

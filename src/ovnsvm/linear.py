@@ -7,8 +7,9 @@ pairwise coupling between classes is either penalized (soft) or constrained
 
 Training alternates a KKT solve of the quadratic surrogate problem in the
 stacked augmented weights with the closed-form auxiliary update, taken at
-the doubled step when a safeguard allows (``_minimize``, which the kernel
-solver runs too).  Classes meet only through the sum of their weight
+the doubled step or at the iterate of an interior-point method on the same
+problem when a safeguard allows (``_minimize``, which the kernel solver
+runs too).  Classes meet only through the sum of their weight
 vectors, so each solve takes one small Cholesky factor per class and one
 system in the shared sum (``_solve_blocks``); ``assemble`` and
 ``solve_kkt`` keep the dense system as the reference.  The surrogate
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dpotrs, dtrtri
 
 from .data import Dataset, augment_rows
 from .errors import HessianNotPD, MaxItersExceeded, SingularSystem
@@ -93,6 +94,10 @@ class Hyperparameters:
     tol: float = 1e-8
 
     def __post_init__(self):
+        # NaN passes every comparison below, and inf breaks the solves
+        for name in ("alpha", "beta", "gamma", "epsilon", "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.beta <= 0:
             raise ValueError("beta must be strictly positive")
         if self.epsilon <= 0:
@@ -114,6 +119,10 @@ class TrainedLinearModel:
     norm convention of :func:`objective`, which halves the norms but not
     the coupling; for alpha > 1 or alpha < -1/(K-1) it can lie far below
     the minimized value, which :func:`training_objective` gives.
+    ``interior_point`` says how the interior-point anchor of the MM loop
+    ended: "converged after n steps", "stopped on <error> after n steps"
+    or "running after n steps" at the iteration cap (see
+    :func:`_minimize`); a model loaded from a file has "".
     """
 
     W: np.ndarray
@@ -126,6 +135,7 @@ class TrainedLinearModel:
     converged: bool = True
     surrogate_trace: list = field(default_factory=list)
     hinge_trace: list = field(default_factory=list)
+    interior_point: str = ""
 
     @property
     def n_classes(self) -> int:
@@ -202,6 +212,8 @@ class _FixedParts:
     def __post_init__(self):
         K = len(self.rows)
         self.coupling = np.eye(K) + self.pair * (np.ones((K, K)) - np.eye(K))
+        # class boundaries in the flat projections
+        self.cuts = np.cumsum([A_k.shape[0] for A_k in self.rows])[:-1]
 
     def system(self, z) -> AssembledSystem:
         """The dense reference system at the auxiliaries ``z``, one array per class."""
@@ -226,30 +238,51 @@ class _FixedParts:
         shared = 2 C.  The coupling gives c0 = 1 - pair and C = pair diag(D),
         the bias sum adds gamma to C.  On an edge of the window the
         proximal term ||w - w_a||^2 in E = (f0 I + f1 11'/K) (x) D is added:
-        f0 to c0, f1/K diag(D) to C, and 2 E w_a to rhs.
+        f0 to c0, f1/K diag(D) to C (:meth:`curvature`), and 2 E w_a to rhs.
         """
+        F, shared = self.curvature(z)
+        h = self.beta / 2.0
+        rhs = np.array([h * ((1.0 + 1.0 / z_k) @ A_k) for A_k, z_k in zip(self.rows, z)])
+        if self.flat is not None:
+            f0, f1 = self.flat
+            d = np.diag(self.metric)
+            rhs += 2.0 * d * (f0 * w_a + (f1 / len(self.rows)) * w_a.sum(axis=0))
+        return F, rhs, shared
+
+    def curvature(self, z, proximal=True):
+        """The (F, shared) of :meth:`blocks`; ``proximal`` keeps the term of an edge."""
         K, P = len(self.rows), self.metric.shape[0]
         d = np.diag(self.metric)
         c0, C = 1.0 - self.pair, self.pair * d
         C[P - 1] += self.gamma
         F = np.empty((K, P, P))
-        rhs = np.empty((K, P))
         h = self.beta / 2.0
         for k, (A_k, z_k) in enumerate(zip(self.rows, z)):
-            a = 1.0 / z_k
-            np.matmul(A_k.T * (h * a), A_k, out=F[k])
-            rhs[k] = h * ((1.0 + a) @ A_k)
-        if self.flat is not None:
+            np.matmul(A_k.T * (h * (1.0 / z_k)), A_k, out=F[k])
+        if proximal and self.flat is not None:
             f0, f1 = self.flat
             c0, C = c0 + f0, C + (f1 / K) * d
-            rhs += 2.0 * d * (f0 * w_a + (f1 / K) * w_a.sum(axis=0))
         F.reshape(K, P * P)[:, :: P + 1] += 2.0 * c0 * d
-        return F, rhs, 2.0 * C
+        return F, 2.0 * C
 
     def regularizer(self, w) -> float:
         """w' H w without the hinge blocks, for the K x P weights w."""
         quad = float(np.sum(self.coupling * (w @ self.metric @ w.T)))
         return quad + self.gamma * float(np.sum(w[:, -1])) ** 2
+
+    def regularizer_gradient(self, w) -> np.ndarray:
+        """The gradient 2 H w of :meth:`regularizer`, K x P."""
+        grad = 2.0 * (self.coupling @ w) * np.diag(self.metric)
+        grad[:, -1] += 2.0 * self.gamma * float(np.sum(w[:, -1]))
+        return grad
+
+    def project(self, w) -> np.ndarray:
+        """The projections A_k w_k of every class's rows, class after class."""
+        return np.concatenate([A_k @ w_k for A_k, w_k in zip(self.rows, w)])
+
+    def transpose_project(self, v) -> np.ndarray:
+        """A_k' v_k for every class, K x P, for v laid out as :meth:`project`'s."""
+        return np.array([v_k @ A_k for A_k, v_k in zip(self.rows, np.split(v, self.cuts))])
 
 
 # a coupling eigenvalue below this counts as zero, so that alpha = -2/(K-1),
@@ -415,9 +448,22 @@ def _solve_blocks(F, rhs, shared, hard, note):
     :func:`_solve_reduced`.  ``F`` is (K, P, P) and ``rhs`` (K, P); returns
     (w as K x P, multipliers, relative KKT residual).
     """
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(rhs)) and np.all(np.isfinite(shared))):
+    if not np.all(np.isfinite(rhs)):
         raise SingularSystem("assembled system contains non-finite entries")
-    K, P = rhs.shape
+    w, q, resid = _factor_blocks(F, shared, hard, note)(rhs)
+    return w, q[hard], resid
+
+
+def _factor_blocks(F, shared, hard, note):
+    """Factor the class-block system of :func:`_solve_blocks` once.
+
+    Returns ``solve(rhs)``, which gives (w, q, relative KKT residual) for
+    the right side ``rhs``, with q = shared * s + (the multipliers on the
+    held coordinates).  Raises as :func:`_solve_blocks` does.
+    """
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(shared))):
+        raise SingularSystem("assembled system contains non-finite entries")
+    K, P = F.shape[:2]
     factors = []
     low_inv = np.empty((K, P, P))  # the L_k^-1 of F_k = L_k L_k'
     for k in range(K):
@@ -435,7 +481,9 @@ def _solve_blocks(F, rhs, shared, hard, note):
     B = mix[:, None] * inv.sum(axis=0)
     B.flat[:: P + 1] += ~hard
     lu, piv, info = dgetrf(B)
-    if info:
+    # singular to working precision counts as singular: its solves would
+    # be rounding noise along the null space
+    if info or dgecon(lu, float(np.max(np.sum(np.abs(B), axis=0))))[0] < np.finfo(float).eps:
         raise SingularSystem(f"the shared system of the class blocks is singular ({note})")
 
     def solve(r, g):
@@ -446,24 +494,27 @@ def _solve_blocks(F, rhs, shared, hard, note):
         q = dgetrs(lu, piv, mix * x.sum(axis=0) - hard * g)[0]
         return x - inv @ q, q
 
-    def residual(w, q):
-        s = w.sum(axis=0)
-        r1 = rhs - np.matmul(F, w[:, :, None])[:, :, 0] - shared * s - hard * q
-        g = -(hard * s)
-        return r1, g, float(np.sqrt(np.sum(r1 * r1) + np.sum(g * g)))
+    def refined(rhs):
+        def residual(w, q):
+            s = w.sum(axis=0)
+            r1 = rhs - np.matmul(F, w[:, :, None])[:, :, 0] - shared * s - hard * q
+            g = -(hard * s)
+            return r1, g, float(np.sqrt(np.sum(r1 * r1) + np.sum(g * g)))
 
-    denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    w, q = solve(rhs, np.zeros(P))
-    r1, g, best_r = residual(w, q)
-    for _ in range(4):
-        if best_r <= 1e-15 * denom:
-            break
-        dw, dq = solve(r1, g)
-        c1, cg, cand_r = residual(w + dw, q + dq)
-        if cand_r >= best_r:
-            break
-        w, q, r1, g, best_r = w + dw, q + dq, c1, cg, cand_r
-    return w, q[hard], best_r / denom
+        denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
+        w, q = solve(rhs, np.zeros(P))
+        r1, g, best_r = residual(w, q)
+        for _ in range(4):
+            if best_r <= 1e-15 * denom:
+                break
+            dw, dq = solve(r1, g)
+            c1, cg, cand_r = residual(w + dw, q + dq)
+            if cand_r >= best_r:
+                break
+            w, q, r1, g, best_r = w + dw, q + dq, c1, cg, cand_r
+        return w, q, best_r / denom
+
+    return refined
 
 
 def _pair_inner_sum(W: np.ndarray) -> float:
@@ -545,6 +596,121 @@ class _MMRun:
     iterations: int
     surrogate_trace: list
     hinge_trace: list
+    interior_point: str
+
+
+def _to_boundary(xs, dxs, frac):
+    """frac times the longest step that keeps every x + a dx >= 0, at most 1."""
+    a = 1.0
+    for x, dx in zip(xs, dxs):
+        neg = dx < 0.0
+        if np.any(neg):
+            a = min(a, frac * float(np.min(x[neg] / -dx[neg])))
+    return a
+
+
+class _InteriorPoint:
+    """Mehrotra predictor-corrector steps on the fit's QP, as MM anchors.
+
+    The fit minimizes reg(w) + beta 1'xi subject to s = u + xi - 1 >= 0,
+    xi >= 0 and the held sums, with u the projections of the weights
+    (Mehrotra, SIAM J. Optim. 1992; Ferris & Munson, SIAM J. Optim. 2002).
+    lam and nu are the multipliers of s and xi, with lam + nu = beta at a
+    dual feasible point; nu is kept as its own array because beta - lam
+    cancels as lam nears beta.  q holds the multipliers of the held sums.
+    Eliminating s, xi, lam and nu from the Newton system leaves
+
+        (2H + sum_k A_k' diag(d_k) A_k) dw + U dq = rhs,   d = 1/(s/lam + xi/nu),
+
+    the surrogate's class blocks at z = (beta/2)(s/lam + xi/nu)
+    (:meth:`_FixedParts.curvature` without the proximal term of an edge),
+    so a step factors once and solves twice, for the predictor and the
+    corrector.  z is computed in that form, never as 1/d, and clamped at
+    epsilon, where the blocks would no longer factor; d = (beta/2)/z then
+    stays consistent with the matrix.  The start w = 0, xi = 2, s = 1,
+    lam = nu = beta/2 meets the primal equations, and the steps keep them,
+    up to the clamp's shift of at most 2 epsilon/beta times the multiplier
+    step, which the next step's residual takes back: xi >= hinge(u) to
+    that precision.  Every step keeps the held sums, so the iterate meets
+    them to rounding and is a valid MM anchor.
+
+    The method stops stepping once the gap lam's + nu'xi is at most
+    ``hp.tol`` max(1, |reg(w) + beta 1'xi|) and the stationarity residual
+    is as small against the multipliers' term, or when its own step raises
+    HessianNotPD or SingularSystem; :meth:`status` says which.
+    """
+
+    def __init__(self, parts: _FixedParts, hp: Hyperparameters):
+        n = sum(A_k.shape[0] for A_k in parts.rows)
+        self.parts, self.hp = parts, hp
+        self.w, self.u = np.zeros((len(parts.rows), parts.metric.shape[0])), np.zeros(n)
+        self.q = np.zeros(parts.metric.shape[0])  # 0 off the held coordinates
+        self.xi, self.s = np.full(n, 2.0), np.ones(n)
+        self.lam, self.nu = np.full(n, hp.beta / 2.0), np.full(n, hp.beta / 2.0)
+        self.steps = 0
+        self.outcome = None  # why it stopped stepping, once it has
+
+    def status(self) -> str:
+        return self.outcome or f"running after {self.steps} steps"
+
+    def step(self):
+        """Take one predictor-corrector step, unless the method has stopped."""
+        if self.outcome is not None:
+            return
+        try:
+            self._step()
+        except (HessianNotPD, SingularSystem) as e:
+            self.outcome = f"stopped on {type(e).__name__} after {self.steps} steps"
+            return
+        self.steps += 1
+        gap = float(self.lam @ self.s + self.nu @ self.xi)
+        value = self.parts.regularizer(self.w) + self.hp.beta * float(np.sum(self.xi))
+        dual = self.parts.transpose_project(self.lam)
+        stationarity = np.linalg.norm(self._stationarity(dual))
+        if gap <= self.hp.tol * max(1.0, abs(value)) and stationarity <= self.hp.tol * max(
+            1.0, float(np.linalg.norm(dual))
+        ):
+            self.outcome = f"converged after {self.steps} steps"
+
+    def _stationarity(self, dual):
+        # 2H w + U q - sum_k A_k' lam_k
+        return self.parts.regularizer_gradient(self.w) + self.parts.hard * self.q - dual
+
+    def _step(self):
+        parts, hp = self.parts, self.hp
+        xi, s, lam, nu = self.xi, self.s, self.lam, self.nu
+        r_w = self._stationarity(parts.transpose_project(lam))
+        r_xi = hp.beta - lam - nu
+        r_p = self.u + xi - 1.0 - s
+        z = np.maximum((hp.beta / 2.0) * (s / lam + xi / nu), hp.epsilon)
+        d = (hp.beta / 2.0) / z
+        F, shared = parts.curvature(np.split(z, parts.cuts), proximal=False)
+        solve = _factor_blocks(F, shared, parts.hard, parts.note)
+
+        def direction(r_lam, r_nu):
+            # the Newton step with complementarity rows s dlam + lam ds = -r_lam
+            # and xi dnu + nu dxi = -r_nu
+            g = (r_nu + xi * r_xi) / nu - r_lam / lam - r_p
+            dw, dq, _ = solve(parts.transpose_project(d * g) - r_w)
+            dlam = d * (g - parts.project(dw))
+            dnu = r_xi - dlam
+            return dw, dq, -(r_nu + xi * dnu) / nu, -(r_lam + s * dlam) / lam, dlam, dnu
+
+        n2 = 2 * xi.size
+        mu = float(lam @ s + nu @ xi) / n2
+        _, _, dxi, ds, dlam, dnu = direction(lam * s, nu * xi)
+        a = _to_boundary((xi, s, lam, nu), (dxi, ds, dlam, dnu), 1.0)
+        mu_aff = float((lam + a * dlam) @ (s + a * ds) + (nu + a * dnu) @ (xi + a * dxi)) / n2
+        centre = (mu_aff / mu) ** 3 * mu
+        dw, dq, dxi, ds, dlam, dnu = direction(
+            lam * s + dlam * ds - centre, nu * xi + dnu * dxi - centre
+        )
+        a = _to_boundary((xi, s, lam, nu), (dxi, ds, dlam, dnu), 0.99)
+        self.w = self.w + a * dw
+        self.q = self.q + a * (parts.hard * dq)
+        self.xi, self.s = xi + a * dxi, s + a * ds
+        self.lam, self.nu = lam + a * dlam, nu + a * dnu
+        self.u = parts.project(self.w)
 
 
 def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
@@ -556,20 +722,29 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     O(P^3) flops against (K P)^3 / 3 for the dense factor.  A block that
     is not positive definite raises HessianNotPD naming its class;
     non-finite entries or a singular shared system raise SingularSystem.
-    The bound is then re-anchored with safeguarded step
-    doubling: let h(w) be the surrogate with every z tight at w,
-    z = max(|1 - u|, epsilon).  For t > 1 the auxiliaries are set from the
-    doubled step w_e = 2 w_t - w_{t-1} when h(w_e) <= h(w_t), and from w_t
-    otherwise.  The next surrogate value is then at most
-    h(anchor) <= h(w_t) <= F_t, so the trace does not rise.  w_e meets the
-    hard constraints because they are linear and both iterates meet them.
+    The bound is then re-anchored among candidates: let h(w) be the
+    surrogate with every z tight at w, z = max(|1 - u|, epsilon).  The
+    candidates are w_t, the doubled step w_e = 2 w_t - w_{t-1} for t > 1,
+    and the iterate of an interior-point method on the same problem
+    (:class:`_InteriorPoint`), which takes one step per MM iteration.  The
+    auxiliaries are set from the candidate of least h; since w_t is one of
+    them, the next surrogate value is at most h(anchor) <= h(w_t) <= F_t,
+    so the trace does not rise.  Every candidate meets the hard constraints:
+    they are linear, the MM iterates meet them and the interior-point
+    steps keep them.  The interior-point method reaches the optimum in a
+    few dozen steps where MM alone slows down as the patterns close in on
+    the margin (its curvature 1/z grows); once it stops (``interior_point``
+    says how), its last iterate stays a candidate, and where its step
+    raises, MM carries on alone.
 
     On an edge of the coupling window the surrogate can be flat along
     coupling null directions (``parts.flat``) that the hinge terms do not
     curve.  Each solve there adds ||w - w_a||^2 in flat (x) metric around
     the point w_a where z is tight (w = 0 for the initial z = 1).  The sum
     still majorizes the objective, is tight at w_a and has a positive
-    definite 2H, so the bound chain above holds.
+    definite 2H, so the bound chain above holds.  The interior-point
+    Newton system has no such term and is singular there, so on those
+    edges the method stops on its first step.
 
     Stops when the relative surrogate change drops below ``hp.tol``; at
     ``hp.max_iters`` the last iterate is returned with ``converged=False``
@@ -577,12 +752,11 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     """
     K, P = len(parts.rows), parts.metric.shape[0]
     beta, eps = hp.beta, hp.epsilon
-    sizes = [A_k.shape[0] for A_k in parts.rows]
-    cuts = np.cumsum(sizes)[:-1]  # class boundaries in the flat projections
-    state = MMState.fresh(sizes, eps)
+    state = MMState.fresh([A_k.shape[0] for A_k in parts.rows], eps)
+    ipm = _InteriorPoint(parts, hp)
 
-    def tight(reg, u):
-        return reg + beta * float(np.sum(majorizer(u, z_update(u, eps))))
+    def tight(w, u):
+        return parts.regularizer(w) + beta * float(np.sum(majorizer(u, z_update(u, eps))))
 
     hinge_trace: list = []
     prev_F = None
@@ -592,8 +766,7 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     iterations = hp.max_iters
     for t in range(1, hp.max_iters + 1):  # Hyperparameters keeps max_iters >= 1
         w, _, resid = _solve_blocks(*parts.blocks(state.z, w_a), parts.hard, parts.note)
-        # projections of every class's positives, class after class
-        u = np.concatenate([A_k @ w_k for A_k, w_k in zip(parts.rows, w)])
+        u = parts.project(w)
         reg = parts.regularizer(w)
         F = reg + beta * float(np.sum(majorizer(u, np.concatenate(state.z))))
         state.objective_trace.append(F)
@@ -603,13 +776,17 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
             iterations = t
             break
         prev_F = F
-        anchor, w_a = u, w
+        ipm.step()
+        candidates = [(ipm.w, ipm.u)]
         if prev is not None:
-            w_e, u_e = 2.0 * w - prev[0], 2.0 * u - prev[1]
-            if tight(parts.regularizer(w_e), u_e) <= tight(reg, u):
-                anchor, w_a = u_e, w_e
+            candidates.insert(0, (2.0 * w - prev[0], 2.0 * u - prev[1]))
+        anchor, w_a, best = u, w, tight(w, u)
+        for w_c, u_c in candidates:
+            h_c = tight(w_c, u_c)
+            if h_c <= best:
+                anchor, w_a, best = u_c, w_c, h_c
         prev = (w, u)
-        state.update(np.split(anchor, cuts))
+        state.update(np.split(anchor, parts.cuts))
     if not converged:
         warnings.warn(
             f"MM loop stopped at max_iters={hp.max_iters} before reaching tol",
@@ -617,7 +794,7 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
             stacklevel=3,
         )
     return _MMRun(
-        w, resid, converged, iterations, state.objective_trace, hinge_trace
+        w, resid, converged, iterations, state.objective_trace, hinge_trace, ipm.status()
     )
 
 
@@ -645,12 +822,15 @@ def fit_linear(
         surrogate Hessian is not positive definite.
     SingularSystem
         If a surrogate system has non-finite entries or its shared system
-        in the class sum is singular.
+        in the class sum is singular to working precision.
 
     Notes
     -----
-    Runs the shared MM iteration (see :func:`_minimize`), which stops when
-    the relative surrogate change drops below ``hp.tol``.  If
+    Runs the shared MM iteration (see :func:`_minimize`), which re-anchors
+    its bound on an interior-point iterate when that is the better anchor
+    and stops when the relative surrogate change drops below ``hp.tol``.
+    The returned weights are those of the last MM solve; the model's
+    ``interior_point`` says how the interior-point method ended.  If
     ``hp.max_iters`` is reached first, the last iterate is returned with
     ``converged=False`` and a MaxItersExceeded warning.
     """
@@ -670,4 +850,5 @@ def fit_linear(
         converged=run.converged,
         surrogate_trace=run.surrogate_trace,
         hinge_trace=run.hinge_trace,
+        interior_point=run.interior_point,
     )

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,18 @@ def test_synth_unseen_also_writes_test_partition(tmp_path):
     assert test_file.exists()
     with open(test_file, newline="") as fh:
         assert len(list(csv.reader(fh))) == 7  # header plus six held-out rows
+
+
+def test_train_summary_says_how_the_interior_point_anchor_ended(tmp_path, capsys):
+    data = tmp_path / "mc.csv"
+    data.write_text("x,y,class\n0.0,0.0,a\n0.2,0.1,a\n5.0,5.0,b\n5.2,5.1,b\n")
+    code = run(
+        "train", "--data", str(data), "--multiclass-column", "class",
+        "--solver", "linear", "--mode", "sw-hb", "--model-out", str(tmp_path / "m.json"),
+    )
+    assert code == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert re.search(r"interior_point='(converged|running) after \d+ steps'$", summary)
 
 
 def test_train_linear_and_multiclass_column(tmp_path):

@@ -1,6 +1,7 @@
 """Linear solver: assembly, the constrained solve, and the fit loop."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -35,7 +36,8 @@ from ovnsvm import (
     training_objective_kernel,
 )
 from ovnsvm.kernel import _kernel_parts
-from ovnsvm.linear import _linear_parts, _solve_blocks
+from ovnsvm.linear import _InteriorPoint, _linear_parts, _solve_blocks
+from ovnsvm.majorization import hinge
 from ovnsvm.oracle import subgradient_fit
 
 MODES = [ConstraintMode.from_token(t) for t in ("sw-sb", "sw-hb", "hw-sb", "hw-hb")]
@@ -63,6 +65,14 @@ class TestModesAndCoefficients:
             Hyperparameters(tol=0.0)
         with pytest.raises(ValueError):
             Hyperparameters(max_iters=0)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "epsilon", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_hyperparameters_are_rejected_by_name(self, name, value):
+        # NaN passes the sign checks and the coupling window, and a NaN
+        # alpha or gamma would only surface inside the first solve
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            Hyperparameters(**{name: value})
 
 
 class TestAssemble:
@@ -222,6 +232,23 @@ class TestSolve:
         assert 0.0 <= value <= 1e-6
         if mode.b_constraint == "hard":
             assert abs(b.sum()) <= 1e-8
+
+
+def _planted_multilabel(rng, n, m=20, k=10, threshold=0.2533471031357997):
+    """k halfspace rules on standard normal rows, as the benchmark's linear set.
+
+    A row carries label j when its projection on the unit direction v_j is
+    above ``threshold`` (the 0.6 quantile of N(0, 1)); a row no rule picks
+    takes the label of its largest projection.
+    """
+    V = rng.standard_normal((k, m))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    X = rng.standard_normal((n, m))
+    proj = X @ V.T
+    Y = (proj > threshold).astype(np.int64)
+    empty = Y.sum(axis=1) == 0
+    Y[empty, np.argmax(proj[empty], axis=1)] = 1
+    return Dataset(X, Y)
 
 
 def _clamped_z(rng, sets, epsilon=1e-6):
@@ -442,6 +469,16 @@ class TestFit:
         ref = training_objective(d, W, b, mode, hp)
         assert (ours - ref) / max(1.0, abs(ref)) <= 1e-3
 
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.token)
+    def test_planted_multilabel_set_converges_at_the_defaults(self, mode):
+        # hw-sb's optimum puts every pattern on the margin, where the bound's
+        # steps shrink: MM alone stops on the 500-iteration cap here
+        d = _planted_multilabel(np.random.default_rng(0), 600)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MaxItersExceeded)
+            model = fit_linear(d, mode, Hyperparameters())
+        assert model.converged
+
     def test_empty_class_rejected(self):
         d = Dataset([[1.0], [2.0]], [[1, 0], [1, 0]])
         with pytest.raises(ValueError, match="class 1"):
@@ -461,3 +498,66 @@ class TestFit:
             )
         assert model.decision_scores(np.zeros((4, 2))).shape == (4, 3)
         assert (model.n_classes, model.n_features) == (3, 2)
+
+
+class TestInteriorPointAnchor:
+    """The interior-point iterate that the MM loop may re-anchor on."""
+
+    @pytest.mark.parametrize("solver", ["linear", "kernel"])
+    @pytest.mark.parametrize(
+        "token, alpha",
+        [("sw-sb", 1.0), ("sw-hb", 1.0), ("hw-sb", 1.0), ("hw-hb", 1.0),
+         ("sw-sb", 2.0), ("sw-hb", 2.0), ("sw-sb", -1.0), ("sw-hb", -1.0)],
+    )
+    @pytest.mark.parametrize("tol", [1e-8, 1e-14])
+    def test_fits_raise_no_runtime_warning(self, solver, token, alpha, tol):
+        # K = 3, so alpha = 2 and alpha = -1 are the edges of the window; the
+        # tight tolerance keeps the method stepping close to the boundary
+        d = random_multilabel(np.random.default_rng(0), 40, 3, 3)
+        mode, hp = ConstraintMode.from_token(token), Hyperparameters(alpha=alpha, tol=tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", MaxItersExceeded)
+            if solver == "linear":
+                model = fit_linear(d, mode, hp)
+            else:
+                model = fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp)
+        assert np.all(np.isfinite(model.surrogate_trace))
+
+    @pytest.mark.parametrize("alpha, error", [(2.0, "HessianNotPD"), (-1.0, "SingularSystem")])
+    @pytest.mark.parametrize("token", ["sw-hb", "sw-sb"])
+    def test_a_step_that_raises_is_reported_and_mm_carries_on(self, alpha, error, token):
+        # on an edge of the window the Gram factor leaves coupling null
+        # directions without curvature: the blocks (alpha = 2) or the shared
+        # system in the class sum (alpha = -1) of the Newton system is singular
+        d = random_multiclass(np.random.default_rng(0), 40, 3, 3)
+        model = fit_kernel(d, KernelSpec(kind="gaussian"), ConstraintMode.from_token(token),
+                           Hyperparameters(alpha=alpha))
+        assert model.interior_point == f"stopped on {error} after 0 steps"
+        assert model.converged
+
+    def test_status_reads_converged_or_running_at_the_cap(self):
+        d = _planted_multilabel(np.random.default_rng(0), 300)
+        mode = ConstraintMode("hard", "hard")
+        model = fit_linear(d, mode, Hyperparameters())
+        assert model.converged
+        assert re.fullmatch(r"converged after \d+ steps", model.interior_point)
+        with quiet_max_iters():
+            cut = fit_linear(d, mode, Hyperparameters(max_iters=3))
+        assert cut.interior_point == "running after 3 steps"
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.token)
+    def test_the_interior_point_iterate_meets_the_problem_constraints(self, mode):
+        # the iterate is a valid anchor only if it meets the held sums; its
+        # slacks keep xi >= hinge(u), so reg + beta sum(xi) bounds the objective
+        d = _planted_multilabel(np.random.default_rng(1), 200, m=5, k=4)
+        hp = Hyperparameters()
+        parts = _linear_parts(d.features, d.class_index_sets(), mode, hp)
+        ipm = _InteriorPoint(parts, hp)
+        for _ in range(8):
+            ipm.step()
+            assert ipm.outcome is None
+            assert np.max(np.abs(ipm.w.sum(axis=0)[parts.hard]), initial=0.0) <= 1e-12
+            assert np.min(ipm.xi - hinge(ipm.u)) >= -1e-12
+            assert min(ipm.s.min(), ipm.xi.min(), ipm.lam.min(), ipm.nu.min()) > 0.0
+            np.testing.assert_allclose(ipm.lam + ipm.nu, hp.beta, rtol=1e-12)
