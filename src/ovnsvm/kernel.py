@@ -23,11 +23,12 @@ from .linear import (
     AssembledSystem,
     ConstraintMode,
     Hyperparameters,
+    _functional,
     _linear_parts,
     _minimize,
     _validate_fit_inputs,
 )
-from .majorization import MMState, hinge
+from .majorization import MMState
 
 # the Gram factor stops once no diagonal entry of the residual G - R R' is
 # above this share of the trace of G
@@ -144,22 +145,13 @@ def assemble_kernel(
     return parts.system(state.z)
 
 
-def _kernel_regularizer(G, A, b, mode, hp, half):
-    AG = A @ G
-    quads = np.einsum("ki,ki->k", AG, A)
-    val = 0.5 * float(quads.sum()) if half else float(quads.sum())
-    if mode.w_constraint == "soft":
-        s = A.sum(axis=0)
-        pair = 0.5 * (float(s @ G @ s) - float(quads.sum()))
-        val += hp.alpha * pair
-    if mode.b_constraint == "soft":
-        val += hp.gamma * float(b.sum()) ** 2
-    return val
-
-
-def _kernel_hinge_sum(dataset, G, A, b):
-    scores = (A @ G).T + b
-    return float(np.sum(hinge(scores)[dataset.labels == 1]))
+def _kernel_functional(dataset, G, A, b, mode, alpha, beta, gamma):
+    # w_k = sum_i A[k, i] phi(x_i), so G is the inner product of A's rows
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    return _functional(
+        alpha, beta, gamma, lambda a: float(np.sum((a @ G) * a)), A, b, (A @ G).T + b,
+        dataset.labels, mode,
+    )
 
 
 def training_objective_kernel(
@@ -171,12 +163,7 @@ def training_objective_kernel(
     hp: Hyperparameters,
 ) -> float:
     """Kernel-space value of the functional the solver minimizes."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    G = gram_matrix.values
-    return _kernel_regularizer(G, A, b, mode, hp, half=False) + hp.beta * (
-        _kernel_hinge_sum(dataset, G, A, b)
-    )
+    return _kernel_functional(dataset, gram_matrix.values, A, b, mode, hp.alpha, hp.beta, hp.gamma)
 
 
 def fit_kernel(
@@ -224,7 +211,6 @@ def fit_kernel(
     A = np.zeros((len(sets), dataset.n_instances))
     A[:, pivots] = solve_triangular(L, run.w[:, :r].T, lower=True, trans="T").T
     b = run.w[:, r].copy()
-    G = gram_matrix.values
     return TrainedKernelModel(
         A=A,
         b=b,
@@ -233,8 +219,9 @@ def fit_kernel(
         mode=mode,
         hyperparameters=hp,
         iterations_used=run.iterations,
-        final_objective=_kernel_regularizer(G, A, b, mode, hp, half=True)
-        + hp.beta * _kernel_hinge_sum(dataset, G, A, b),
+        final_objective=0.5 * _kernel_functional(  # the halved convention of linear.objective
+            dataset, gram_matrix.values, A, b, mode, 2 * hp.alpha, 2 * hp.beta, 2 * hp.gamma
+        ),
         kkt_residual=run.kkt_residual,
         ridge=float(ridge),
         converged=run.converged,

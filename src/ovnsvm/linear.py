@@ -18,15 +18,19 @@ objective value never increases.
 Two objective evaluators are exposed.  ``training_objective`` is the
 functional the solver actually minimizes,
 
-    sum_k ||w_k||^2 + alpha * sum_{k<l} <w_k, w_l>   [soft-w]
-        + gamma * (sum_k b_k)^2                      [soft-b]
-        + beta * sum_k sum_{i in C_k} hinge(w_k' x_i + b_k),
+    F(alpha, beta, gamma) = sum_k ||w_k||^2 + alpha sum_{k<l} <w_k, w_l>  [soft-w]
+        + gamma (sum_k b_k)^2 [soft-b] + beta sum_k sum_{i in C_k} hinge(w_k' x_i + b_k),
 
-whose stationarity condition is exactly the assembled system below.
-``objective`` evaluates the same data with the halved norm convention
-(1/2 ||w_k||^2), which is the reporting convention used by the public
-API; the two differ only by a constant reparameterization of
-(alpha, beta, gamma).
+whose stationarity condition is exactly the assembled system below.  Its
+first two terms are sum_kl C_kl <w_k, w_l> for the coupling C = (1 - pair)
+I + pair 11', pair = alpha/2 (0 in hard-w modes), whose eigenvalues
+c_con = 1 - pair on class contrasts and c_mean = 1 + (K-1) pair on the
+class mean give them as c_con sum_k ||w_k - wbar||^2 + c_mean K ||wbar||^2
+for the mean row wbar.  The window -2/(K-1) <= alpha <= 2 keeps both
+eigenvalues >= 0, and there no term of F is negative.  ``objective``
+gives the public API's halved norm convention (1/2 ||w_k||^2) as
+1/2 F(2 alpha, 2 beta, 2 gamma); in soft-w modes that is indefinite for
+alpha > 1 or alpha < -1/(K-1), where 2 alpha leaves the window.
 """
 
 from __future__ import annotations
@@ -116,9 +120,9 @@ class TrainedLinearModel:
     solve (non-increasing); ``hinge_trace`` holds the training objective at
     the same iterates.  ``kkt_residual`` is the relative residual of the
     final first-order system solve.  ``final_objective`` reports the halved
-    norm convention of :func:`objective`, which halves the norms but not
-    the coupling; for alpha > 1 or alpha < -1/(K-1) it can lie far below
-    the minimized value, which :func:`training_objective` gives.
+    norm convention of :func:`objective`, 1/2 F(2 alpha, 2 beta, 2 gamma);
+    for alpha > 1 or alpha < -1/(K-1), where 2 alpha leaves the window, it
+    can lie far below the minimized value, :func:`training_objective`.
     ``interior_point`` says how the interior-point anchor of the MM loop
     ended: "converged after n steps", "stopped on <error> after n steps"
     or "running after n steps" at the iteration cap (see
@@ -210,15 +214,16 @@ class _FixedParts:
     flat: tuple | None = None
 
     def __post_init__(self):
-        K = len(self.rows)
-        self.coupling = np.eye(K) + self.pair * (np.ones((K, K)) - np.eye(K))
+        self.spectrum = _coupling_spectrum(self.pair, len(self.rows))
+        self.diagonal = np.diag(self.metric)
         # class boundaries in the flat projections
         self.cuts = np.cumsum([A_k.shape[0] for A_k in self.rows])[:-1]
 
     def system(self, z) -> AssembledSystem:
         """The dense reference system at the auxiliaries ``z``, one array per class."""
         K, P = len(self.rows), self.metric.shape[0]
-        H = np.kron(self.coupling, self.metric)
+        coupling = np.eye(K) + self.pair * (np.ones((K, K)) - np.eye(K))
+        H = np.kron(coupling, self.metric)
         H[P - 1 :: P, P - 1 :: P] += self.gamma
         rhs = np.zeros(H.shape[0])
         for k, (A_k, z_k) in enumerate(zip(self.rows, z)):
@@ -245,14 +250,14 @@ class _FixedParts:
         rhs = np.array([h * ((1.0 + 1.0 / z_k) @ A_k) for A_k, z_k in zip(self.rows, z)])
         if self.flat is not None:
             f0, f1 = self.flat
-            d = np.diag(self.metric)
+            d = self.diagonal
             rhs += 2.0 * d * (f0 * w_a + (f1 / len(self.rows)) * w_a.sum(axis=0))
         return F, rhs, shared
 
     def curvature(self, z, proximal=True):
         """The (F, shared) of :meth:`blocks`; ``proximal`` keeps the term of an edge."""
         K, P = len(self.rows), self.metric.shape[0]
-        d = np.diag(self.metric)
+        d = self.diagonal
         c0, C = 1.0 - self.pair, self.pair * d
         C[P - 1] += self.gamma
         F = np.empty((K, P, P))
@@ -267,13 +272,15 @@ class _FixedParts:
 
     def regularizer(self, w) -> float:
         """w' H w without the hinge blocks, for the K x P weights w."""
-        quad = float(np.sum(self.coupling * (w @ self.metric @ w.T)))
-        return quad + self.gamma * float(np.sum(w[:, -1])) ** 2
+        quad = _coupled_norm(self.spectrum, lambda v: float((v * v * self.diagonal).sum()), w)
+        return quad + self.gamma * float(w[:, -1].sum()) ** 2
 
     def regularizer_gradient(self, w) -> np.ndarray:
         """The gradient 2 H w of :meth:`regularizer`, K x P."""
-        grad = 2.0 * (self.coupling @ w) * np.diag(self.metric)
-        grad[:, -1] += 2.0 * self.gamma * float(np.sum(w[:, -1]))
+        c_con, c_mean = self.spectrum
+        mean = w.sum(axis=0) / len(w)
+        grad = 2.0 * (c_con * (w - mean) + c_mean * mean) * self.diagonal
+        grad[:, -1] += 2.0 * self.gamma * float(w[:, -1].sum())
         return grad
 
     def project(self, w) -> np.ndarray:
@@ -299,15 +306,12 @@ def _linear_parts(X, sets, mode, hp, context="") -> _FixedParts:
     Xa = augment_rows(X)
     D = np.eye(M + 1)
     D[M, M] = 0.0  # the regularizer does not touch the bias coordinate
-    pair, flat = 0.0, None
-    if mode.w_constraint == "soft":
-        pair = hp.alpha / 2.0
-        # the coupling's eigenvalues on class contrasts and on the class mean
-        # (see _validate_fit_inputs), with the projectors onto those spaces
-        # as (f0, f1) of f0 I + f1 11'/K.  At K = 1 the contrast projector is
-        # 0, but its split still moves all of the coupling into the block.
-        spaces = [(1 - hp.alpha / 2, (1.0, -1.0)), (1 + (K - 1) * hp.alpha / 2, (0.0, 1.0))]
-        flat = next((proj for lam, proj in spaces if lam < _FLAT_COUPLING), None)
+    pair = hp.alpha / 2.0 if mode.w_constraint == "soft" else 0.0
+    # the coupling's eigenvalues with the projectors onto their spaces, as
+    # (f0, f1) of f0 I + f1 11'/K.  At K = 1 the contrast projector is 0,
+    # but its split still moves all of the coupling into the block.
+    spaces = zip(_coupling_spectrum(pair, K), ((1.0, -1.0), (0.0, 1.0)))
+    flat = next((f for lam, f in spaces if lam < _FLAT_COUPLING), None)
     hard = np.zeros(M + 1, dtype=bool)
     hard[:M] = mode.w_constraint == "hard"
     hard[M] = mode.b_constraint == "hard"
@@ -517,47 +521,55 @@ def _factor_blocks(F, shared, hard, note):
     return refined
 
 
-def _pair_inner_sum(W: np.ndarray) -> float:
-    # sum over unordered pairs of <w_k, w_l>
-    s = W.sum(axis=0)
-    return 0.5 * (float(s @ s) - float(np.sum(W * W)))
+def _coupling_spectrum(pair, K):
+    # the eigenvalues of the coupling (1 - pair) I + pair 11': c_con on class
+    # contrasts, c_mean on the class mean
+    return 1.0 - pair, 1.0 + (K - 1) * pair
 
 
-def _regularizer_terms(W, b, mode, hp, half):
-    norm = float(np.sum(np.asarray(W) ** 2))
-    val = 0.5 * norm if half else norm
-    if mode.w_constraint == "soft":
-        val += hp.alpha * _pair_inner_sum(np.asarray(W, dtype=float))
+def _coupled_norm(spectrum, sq, V):
+    # sum_kl coupling_kl <v_k, v_l> as c_con sum_k ||v_k - vbar||^2 +
+    # c_mean K ||vbar||^2, with sq(X) the sum of squared row norms of X
+    c_con, c_mean = spectrum
+    mean = V.sum(axis=0) / len(V)
+    return c_con * sq(V - mean) + c_mean * len(V) * sq(mean)
+
+
+def _functional(alpha, beta, gamma, sq, V, b, scores, labels, mode):
+    # the functional F at weight rows V for the row inner product's squared
+    # norm sq, with the hinge loss of the N x K scores where labels is 1
+    pair = alpha / 2.0 if mode.w_constraint == "soft" else 0.0
+    value = _coupled_norm(_coupling_spectrum(pair, len(V)), sq, V)
     if mode.b_constraint == "soft":
-        val += hp.gamma * float(np.sum(b)) ** 2
-    return val
+        value += gamma * float(np.sum(b)) ** 2
+    return value + beta * float(np.sum(hinge(scores)[labels == 1]))
 
 
-def _hinge_sum(dataset, W, b):
-    scores = dataset.features @ np.asarray(W, dtype=float).T + np.asarray(b, dtype=float)
-    return float(np.sum(hinge(scores)[dataset.labels == 1]))
+def _linear_functional(dataset, W, b, mode, alpha, beta, gamma):
+    W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
+    return _functional(
+        alpha, beta, gamma, lambda v: float(np.sum(v * v)), W, b,
+        dataset.features @ W.T + b, dataset.labels, mode,
+    )
 
 
 def objective(dataset: Dataset, W, b, mode: ConstraintMode, hp: Hyperparameters) -> float:
     """Objective value in the halved norm convention.
 
-    Computes ``1/2 sum_k ||w_k||^2`` plus the soft penalty terms that the
-    mode activates plus ``beta`` times the total hinge loss over positive
-    pairs.  Hard-constraint feasibility is not folded in; see
-    :func:`feasibility`.
+    The functional F of :func:`training_objective` as
+    ``1/2 F(2 alpha, 2 beta, 2 gamma)``: ``1/2 sum_k ||w_k||^2`` plus the
+    soft penalty terms that the mode activates plus ``beta`` times the
+    total hinge loss over positive pairs.  Hard-constraint feasibility is
+    not folded in; see :func:`feasibility`.
     """
-    return _regularizer_terms(W, b, mode, hp, half=True) + hp.beta * _hinge_sum(
-        dataset, W, b
-    )
+    return 0.5 * _linear_functional(dataset, W, b, mode, 2 * hp.alpha, 2 * hp.beta, 2 * hp.gamma)
 
 
 def training_objective(
     dataset: Dataset, W, b, mode: ConstraintMode, hp: Hyperparameters
 ) -> float:
     """The functional the solver minimizes (unhalved norm convention)."""
-    return _regularizer_terms(W, b, mode, hp, half=False) + hp.beta * _hinge_sum(
-        dataset, W, b
-    )
+    return _linear_functional(dataset, W, b, mode, hp.alpha, hp.beta, hp.gamma)
 
 
 def feasibility(W, b) -> dict:
@@ -575,10 +587,9 @@ def _validate_fit_inputs(sets, mode, hp):
         if idx.size == 0:
             raise ValueError(f"class {k} has no positive patterns")
     K = len(sets)
-    # the K x K coupling has eigenvalues 1 - alpha/2 on class contrasts and
-    # 1 + (K-1) alpha/2 on the class mean; a negative one leaves the
-    # objective unbounded below, whatever the data
-    if mode.w_constraint == "soft" and min(1 - hp.alpha / 2, 1 + (K - 1) * hp.alpha / 2) < 0:
+    # a negative eigenvalue of the coupling leaves the objective unbounded
+    # below, whatever the data
+    if mode.w_constraint == "soft" and min(_coupling_spectrum(hp.alpha / 2.0, K)) < 0:
         lo = -2 / (K - 1) if K > 1 else -np.inf
         raise HessianNotPD(
             f"alpha={hp.alpha} is outside [{lo:g}, 2], the definite window "

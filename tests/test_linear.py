@@ -233,6 +233,24 @@ class TestSolve:
         if mode.b_constraint == "hard":
             assert abs(b.sum()) <= 1e-8
 
+    def test_objectives_on_the_lower_edge_read_no_cancellation_below_zero(self):
+        # K = 3 and alpha = -1 put the coupling's eigenvalue on the class mean
+        # at 0, so three equal weight rows cost nothing, and with every
+        # positive past the margin the objective is exactly 0
+        rng = np.random.default_rng(0)
+        d = random_multilabel(rng, 30, 4, 3)
+        G = gram(KernelSpec(kind="linear"), d.features)
+        mode, hp = ConstraintMode("soft", "hard"), Hyperparameters(alpha=-1.0)
+        linear, kernel = [], []
+        for _ in range(200):
+            W = np.tile(rng.standard_normal(4), (3, 1))
+            b = np.full(3, 1.0 + np.max(np.abs(d.features @ W[0])))
+            linear.append(training_objective(d, W, b, mode, hp))
+            A = np.tile(rng.standard_normal(d.n_instances), (3, 1))
+            b = np.full(3, 1.0 + np.max(np.abs(G.values @ A[0])))
+            kernel.append(training_objective_kernel(d, G, A, b, mode, hp))
+        assert min(linear) >= 0.0 and min(kernel) >= 0.0
+
 
 def _planted_multilabel(rng, n, m=20, k=10, threshold=0.2533471031357997):
     """k halfspace rules on standard normal rows, as the benchmark's linear set.
@@ -296,6 +314,18 @@ class TestBlockSolve:
         parts = _linear_parts(d.features, sets, mode, hp)
         assert (parts.flat is not None) == (mode.w_constraint == "soft" and "edge" in where)
         w_a = rng.standard_normal((K, d.n_features + 1))
+
+        # the regularizer's dense matrix, coupling (x) metric plus gamma on the
+        # bias sum, against its evaluation in the coupling's eigenspaces
+        pair = alpha / 2.0 if mode.w_constraint == "soft" else 0.0
+        coupling = (1.0 - pair) * np.eye(K) + pair * np.ones((K, K))
+        e_bias = np.tile(np.eye(d.n_features + 1)[-1], K)
+        gamma = hp.gamma if mode.b_constraint == "soft" else 0.0
+        H_reg = np.kron(coupling, parts.metric) + gamma * np.outer(e_bias, e_bias)
+        v = w_a.ravel()
+        assert parts.regularizer(w_a) == pytest.approx(v @ H_reg @ v, rel=1e-12)
+        grad = parts.regularizer_gradient(w_a).ravel()
+        assert np.linalg.norm(grad - 2.0 * H_reg @ v) <= 1e-12 * np.linalg.norm(2.0 * H_reg @ v)
 
         dense = assemble(d, mode, hp, MMState(z))
         H, rhs = dense.H, dense.rhs
@@ -411,10 +441,20 @@ class TestFit:
             model = fit_linear(
                 d, ConstraintMode("soft", "hard"), Hyperparameters(max_iters=40)
             )
-        half = objective(d, model.W, model.b, model.mode, model.hyperparameters)
-        full = training_objective(d, model.W, model.b, model.mode, model.hyperparameters)
+        hp = model.hyperparameters
+        half = objective(d, model.W, model.b, model.mode, hp)
+        full = training_objective(d, model.W, model.b, model.mode, hp)
         assert full - half == pytest.approx(0.5 * float(np.sum(model.W**2)), rel=1e-12)
         assert model.final_objective == pytest.approx(half)
+        # the halved convention is the functional at doubled coefficients
+        doubled = Hyperparameters(alpha=2 * hp.alpha, beta=2 * hp.beta, gamma=2 * hp.gamma)
+        assert half == 0.5 * training_objective(d, model.W, model.b, model.mode, doubled)
+        G = gram(KernelSpec(kind="linear"), d.features)
+        with quiet_max_iters():
+            kmodel = fit_kernel(d, KernelSpec(kind="linear"), model.mode, hp)
+        assert kmodel.final_objective == 0.5 * training_objective_kernel(
+            d, G, kmodel.A, kmodel.b, model.mode, doubled
+        )
 
     def test_hinge_trace_and_diagnostics(self):
         rng = np.random.default_rng(17)
