@@ -49,7 +49,7 @@ from .kernel import (
     support_vectors,
     training_objective_kernel,
 )
-from .kernels import GramMatrix, KernelSpec, gram, gram_cross, kernel_eval
+from .kernels import KernelSpec, gram, gram_cross, kernel_eval
 from .linear import (
     AssembledSystem,
     ConstraintMode,
@@ -94,7 +94,6 @@ __all__ = [
     "Dataset",
     "DimensionMismatch",
     "EmptyLabelRow",
-    "GramMatrix",
     "GridSpec",
     "HessianNotPD",
     "Hyperparameters",

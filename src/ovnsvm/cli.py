@@ -91,19 +91,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=("sw-sb", "sw-hb", "hw-sb", "hw-hb"), default="sw-hb"
     )
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=10.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument(
         "--kernel", choices=("linear", "gaussian", "poly"), default="gaussian"
     )
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--coef0", type=float, default=1.0)
-    p.add_argument("--ridge", type=float, default=1e-10)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=500)
+    # the defaults are those of Hyperparameters() and KernelSpec()
+    for owner, names in (
+        (Hyperparameters(), ("alpha", "beta", "gamma", "epsilon", "tol", "max_iters")),
+        (KernelSpec(), ("sigma", "degree", "coef0")),
+    ):
+        for name in names:
+            default = getattr(owner, name)
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                type=type(default),
+                default=default,
+                help="default: %(default)s",
+            )
     p.add_argument("--label-prefix", default="label:")
     p.add_argument("--multiclass-column", default=None)
     p.add_argument("--normalize", action="store_true")
@@ -202,7 +205,7 @@ def _cmd_train(args) -> int:
         spec = KernelSpec(
             kind=kind, sigma=args.sigma, degree=args.degree, coef0=args.coef0
         )
-        model = fit_kernel(data, spec, mode, hp, ridge=args.ridge)
+        model = fit_kernel(data, spec, mode, hp)
     else:
         model = fit_linear(data, mode, hp)
     save_model(model, args.model_out)

@@ -183,14 +183,13 @@ def load_csv(
     path,
     label_prefix: str = "label:",
     multiclass_column: str | None = None,
-    normalize: bool = False,
 ) -> Dataset:
     """Read a dataset CSV.
 
     Label columns are those whose header starts with ``label_prefix``.
     Alternatively ``multiclass_column`` names a categorical column that is
-    expanded one-hot, class names sorted lexicographically.  ``normalize``
-    applies per-feature min-max scaling to [0, 1] after parsing.
+    expanded one-hot, class names sorted lexicographically.  Features are
+    returned as parsed; :func:`normalize_minmax` scales them to [0, 1].
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -234,8 +233,7 @@ def load_csv(
     if bad.size:
         raise EmptyLabelRow(f"row {int(bad[0]) + 1} has all-zero labels")
 
-    ds = Dataset(feats, labels, class_names, tuple(header[j] for j in feat_js))
-    return normalize_minmax(ds) if normalize else ds
+    return Dataset(feats, labels, class_names, tuple(header[j] for j in feat_js))
 
 
 def write_csv(dataset: Dataset, path, label_prefix: str = "label:") -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .data import Dataset
-from .kernels import DEFAULT_RIDGE, GramMatrix, KernelSpec, gram, gram_cross
+from .kernels import KernelSpec, gram, gram_cross
 from .linear import (
     AssembledSystem,
     ConstraintMode,
@@ -58,7 +58,6 @@ class TrainedKernelModel:
     iterations_used: int
     final_objective: float
     kkt_residual: float
-    ridge: float = DEFAULT_RIDGE
     converged: bool = True
     surrogate_trace: list = field(default_factory=list)
     hinge_trace: list = field(default_factory=list)
@@ -115,18 +114,16 @@ def _factor(G):
     return Rt[: len(pivots)].T, np.asarray(pivots, dtype=int)
 
 
-def _kernel_parts(sets, gram_matrix: GramMatrix, mode, hp):
+def _kernel_parts(sets, G, mode, hp):
     # the linear parts on R, with the triangular pivot rows R[pivots]
-    R, pivots = _factor(gram_matrix.values)
-    parts = _linear_parts(
-        R, sets, mode, hp, f", ridge={gram_matrix.ridge}, rank={len(pivots)}"
-    )
+    R, pivots = _factor(G)
+    parts = _linear_parts(R, sets, mode, hp, f", rank={len(pivots)}")
     return parts, R[pivots], pivots
 
 
 def assemble_kernel(
     dataset: Dataset,
-    gram_matrix: GramMatrix,
+    G: np.ndarray,
     mode: ConstraintMode,
     hp: Hyperparameters,
     state: MMState,
@@ -141,7 +138,7 @@ def assemble_kernel(
     rank r of the factor; the trailing coordinate of each block is the
     class bias.
     """
-    parts, _, _ = _kernel_parts(dataset.class_index_sets(), gram_matrix, mode, hp)
+    parts, _, _ = _kernel_parts(dataset.class_index_sets(), G, mode, hp)
     return parts.system(state.z)
 
 
@@ -156,14 +153,14 @@ def _kernel_functional(dataset, G, A, b, mode, alpha, beta, gamma):
 
 def training_objective_kernel(
     dataset: Dataset,
-    gram_matrix: GramMatrix,
+    G: np.ndarray,
     A,
     b,
     mode: ConstraintMode,
     hp: Hyperparameters,
 ) -> float:
-    """Kernel-space value of the functional the solver minimizes."""
-    return _kernel_functional(dataset, gram_matrix.values, A, b, mode, hp.alpha, hp.beta, hp.gamma)
+    """Kernel-space value of the functional the solver minimizes, on G from :func:`gram`."""
+    return _kernel_functional(dataset, G, A, b, mode, hp.alpha, hp.beta, hp.gamma)
 
 
 def fit_kernel(
@@ -171,7 +168,6 @@ def fit_kernel(
     kernel: KernelSpec,
     mode: ConstraintMode,
     hp: Hyperparameters,
-    ridge: float = DEFAULT_RIDGE,
 ) -> TrainedKernelModel:
     """Fit the kernel model with the MM iteration of the linear solver.
 
@@ -182,8 +178,6 @@ def fit_kernel(
     mode : ConstraintMode
     hp : Hyperparameters
         ``hp.alpha`` is the coupling coefficient of soft-w modes.
-    ridge : float
-        Jitter added to the Gram diagonal.
 
     Returns
     -------
@@ -191,6 +185,10 @@ def fit_kernel(
 
     Notes
     -----
+    The fit minimizes the functional of :func:`training_objective_kernel`
+    on the Gram matrix of :func:`ovnsvm.kernels.gram` as it is, with no
+    ridge: the factor below stops at the numerical rank of G, so a
+    semidefinite or rank-deficient G needs no jitter on its diagonal.
     The fit is the linear fit (:func:`ovnsvm.linear._minimize`) on the
     rows of the pivoted Cholesky factor R of the Gram matrix, interior-point
     anchor included, so ``interior_point`` reports on the same method.  On
@@ -203,8 +201,8 @@ def fit_kernel(
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, mode, hp)
-    gram_matrix = gram(kernel, dataset.features, ridge)
-    parts, L, pivots = _kernel_parts(sets, gram_matrix, mode, hp)
+    G = gram(kernel, dataset.features)
+    parts, L, pivots = _kernel_parts(sets, G, mode, hp)
     run = _minimize(parts, hp)
     r = len(pivots)
     # w_k = L' a_k on the pivot coefficients a_k, with L = R[pivots]
@@ -220,10 +218,9 @@ def fit_kernel(
         hyperparameters=hp,
         iterations_used=run.iterations,
         final_objective=0.5 * _kernel_functional(  # the halved convention of linear.objective
-            dataset, gram_matrix.values, A, b, mode, 2 * hp.alpha, 2 * hp.beta, 2 * hp.gamma
+            dataset, G, A, b, mode, 2 * hp.alpha, 2 * hp.beta, 2 * hp.gamma
         ),
         kkt_residual=run.kkt_residual,
-        ridge=float(ridge),
         converged=run.converged,
         surrogate_trace=run.surrogate_trace,
         hinge_trace=run.hinge_trace,

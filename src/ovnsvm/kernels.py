@@ -8,8 +8,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-DEFAULT_RIDGE = 1e-10
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -27,14 +25,6 @@ class KernelSpec:
             raise ValueError("sigma must be strictly positive")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("degree must be at least 1")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Pairwise kernel values over training patterns, plus diagonal ridge."""
-
-    values: np.ndarray
-    ridge: float = 0.0
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -69,19 +59,19 @@ def _pairwise(spec: KernelSpec, A, B):
     return np.exp(block, out=block)
 
 
-def gram(spec: KernelSpec, X, ridge: float = DEFAULT_RIDGE) -> GramMatrix:
-    """Gram matrix over the rows of X, ridge added to the diagonal.
+def gram(spec: KernelSpec, X) -> np.ndarray:
+    """Gram matrix G[i, j] = k(x_i, x_j) over the rows of X, shape N x N.
 
     The upper triangle is computed and mirrored, so the result is exactly
-    symmetric regardless of floating point evaluation order.
+    symmetric regardless of floating point evaluation order.  Nothing is
+    added to the diagonal: G may be semidefinite or rank deficient, which
+    the kernel fit's rank-revealing factor handles.
     """
     X = np.asarray(X, dtype=float)
     V = _pairwise(spec, X, X)
     for i in range(1, V.shape[0]):
         V[i, :i] = V[:i, i]
-    if ridge:
-        V[np.diag_indices_from(V)] += ridge
-    return GramMatrix(V, float(ridge))
+    return V
 
 
 def gram_cross(spec: KernelSpec, X_train, X_test) -> np.ndarray:

@@ -766,8 +766,8 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     state = MMState.fresh([A_k.shape[0] for A_k in parts.rows], eps)
     ipm = _InteriorPoint(parts, hp)
 
-    def tight(w, u):
-        return parts.regularizer(w) + beta * float(np.sum(majorizer(u, z_update(u, eps))))
+    def tight(reg, u):
+        return reg + beta * float(np.sum(majorizer(u, z_update(u, eps))))
 
     hinge_trace: list = []
     prev_F = None
@@ -791,9 +791,9 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
         candidates = [(ipm.w, ipm.u)]
         if prev is not None:
             candidates.insert(0, (2.0 * w - prev[0], 2.0 * u - prev[1]))
-        anchor, w_a, best = u, w, tight(w, u)
+        anchor, w_a, best = u, w, tight(reg, u)
         for w_c, u_c in candidates:
-            h_c = tight(w_c, u_c)
+            h_c = tight(parts.regularizer(w_c), u_c)
             if h_c <= best:
                 anchor, w_a, best = u_c, w_c, h_c
         prev = (w, u)

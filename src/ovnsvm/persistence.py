@@ -44,7 +44,6 @@ def save_model(model, path) -> None:
         doc["N"] = int(model.A.shape[1])
         doc["M"] = int(model.train_features.shape[1])
         doc["kernel"] = asdict(model.kernel)
-        doc["ridge"] = model.ridge
         doc["A"] = model.A.tolist()
         doc["train_features"] = model.train_features.tolist()
     else:
@@ -80,7 +79,11 @@ def _check_hard_invariants(mode, weight_rows, b, what):
 
 
 def load_model(path):
-    """Read a model document back; validates version and mode invariants."""
+    """Read a model document back; validates version and mode invariants.
+
+    Fields the loader does not read are ignored, such as the ``ridge`` of
+    kernel documents written when fits added one to the Gram diagonal.
+    """
     try:
         with open(path) as fh:
             text = fh.read()
@@ -151,7 +154,6 @@ def load_model(path):
                 iterations_used=int(diag["iterations_used"]),
                 final_objective=float(diag["final_objective"]),
                 kkt_residual=float(diag["kkt_residual"]),
-                ridge=float(doc.get("ridge", 0.0)),
                 converged=bool(diag["converged"]),
             )
         raise ParseError(f"unknown model_kind {kind!r}")

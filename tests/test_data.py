@@ -165,7 +165,7 @@ class TestCsv:
     def test_normalize_flag(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("x,label:a\n0.0,1\n10.0,1\n")
-        d = load_csv(path, normalize=True)
+        d = normalize_minmax(load_csv(path))
         np.testing.assert_allclose(d.features.ravel(), [0.0, 1.0])
 
     def test_load_features(self, tmp_path):

@@ -49,9 +49,8 @@ def test_objective_agrees_across_parameterizations():
             KernelSpec(kind="linear"),
             mode,
             Hyperparameters(alpha=0.4, beta=2.0, max_iters=60),
-            ridge=0.0,
         )
-    gm = gram(KernelSpec(kind="linear"), d.features, ridge=0.0)
+    gm = gram(KernelSpec(kind="linear"), d.features)
     kern_val = training_objective_kernel(d, gm, dual.A, dual.b, mode, dual.hyperparameters)
     lin_val = training_objective(
         d, dual.A @ d.features, dual.b, mode, dual.hyperparameters
@@ -125,11 +124,12 @@ def test_t3_gaussian_surrogate_traces_never_rise(name):
 
 @pytest.mark.parametrize("token", ["sw-sb", "sw-hb", "hw-sb", "hw-hb"])
 def test_rank_zero_gram_fits_the_biases(token):
-    # all-zero patterns under the linear kernel without ridge: the Gram
-    # factor has no columns and only the biases are left to fit
+    # all-zero patterns under the linear kernel at the default settings: the
+    # Gram matrix is 0, its factor has no columns and only the biases are left
+    # to fit
     d = Dataset(np.zeros((4, 2)), [[1, 0], [1, 0], [1, 0], [0, 1]])
     mode = ConstraintMode.from_token(token)
-    model = fit_kernel(d, KernelSpec(kind="linear"), mode, Hyperparameters(), ridge=0.0)
+    model = fit_kernel(d, KernelSpec(kind="linear"), mode, Hyperparameters())
     assert model.converged
     np.testing.assert_array_equal(model.A, np.zeros((2, 4)))
     # soft-b: both biases sit on the margin; hard-b: the class with more
@@ -140,9 +140,21 @@ def test_rank_zero_gram_fits_the_biases(token):
         assert abs(model.b.sum()) <= 1e-8
 
 
+def test_small_scale_linear_gram_keeps_its_rank():
+    # a rank-2 linear Gram whose entries are about 1e-6: the factor stops at
+    # its numerical rank relative to the trace, so A has 2 nonzero columns
+    rng = np.random.default_rng(4)
+    d = random_multilabel(rng, 300, 2, 3)
+    d = Dataset(1e-3 * d.features, d.labels)
+    with quiet_max_iters():
+        model = fit_kernel(d, KernelSpec(kind="linear"), ConstraintMode("soft", "hard"),
+                           Hyperparameters())
+    assert np.count_nonzero(np.any(model.A != 0.0, axis=0)) <= 2
+
+
 def test_assemble_kernel_block_structure():
     d = Dataset([[0.0], [1.0]], [[1, 0], [0, 1]])
-    gm = gram(KernelSpec(kind="linear"), d.features, ridge=0.0)
+    gm = gram(KernelSpec(kind="linear"), d.features)
     state = MMState.fresh([1, 1])
     sys_ = assemble_kernel(d, gm, ConstraintMode("hard", "hard"), Hyperparameters(), state)
     # the Gram matrix has rank 1, so each block holds one factor coordinate

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from ovnsvm import DimensionMismatch, KernelSpec, gram, gram_cross, kernel_eval
-from ovnsvm.kernels import DEFAULT_RIDGE
 
 LINEAR = KernelSpec(kind="linear")
 GAUSS = KernelSpec(kind="gaussian", sigma=1.5)
@@ -41,7 +40,7 @@ def test_eval_length_mismatch():
 def test_gram_matches_entrywise_eval(spec):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((6, 3))
-    G = gram(spec, X, ridge=0.0).values
+    G = gram(spec, X)
     for i in range(6):
         for j in range(6):
             assert G[i, j] == pytest.approx(kernel_eval(spec, X[i], X[j]), abs=1e-12)
@@ -50,22 +49,14 @@ def test_gram_matches_entrywise_eval(spec):
 def test_gram_is_exactly_symmetric():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((40, 5))
-    G = gram(GAUSS, X, ridge=0.0).values
+    G = gram(GAUSS, X)
     assert np.array_equal(G, G.T)
-
-
-def test_gram_ridge_lands_on_diagonal():
-    X = np.eye(3)
-    g = gram(LINEAR, X, ridge=1e-3)
-    assert g.ridge == 1e-3
-    np.testing.assert_allclose(np.diag(g.values), 1.0 + 1e-3)
-    assert g.values[0, 1] == 0.0
 
 
 def test_gaussian_diagonal_is_one():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((10, 4))
-    G = gram(GAUSS, X, ridge=0.0).values
+    G = gram(GAUSS, X)
     np.testing.assert_allclose(np.diag(G), 1.0)
     assert np.all(G > 0.0) and np.all(G <= 1.0)
 
@@ -80,7 +71,7 @@ def test_gaussian_diagonal_is_one():
     sigma=st.floats(min_value=0.1, max_value=5.0),
 )
 def test_gaussian_gram_is_positive_semidefinite(X, sigma):
-    G = gram(KernelSpec(kind="gaussian", sigma=sigma), X, ridge=0.0).values
+    G = gram(KernelSpec(kind="gaussian", sigma=sigma), X)
     eigmin = float(np.linalg.eigvalsh(G)[0])
     assert eigmin >= -1e-9
 
@@ -99,10 +90,6 @@ def test_gram_cross_matches_eval_and_shape():
 def test_gram_cross_feature_mismatch():
     with pytest.raises(DimensionMismatch):
         gram_cross(LINEAR, np.ones((2, 3)), np.ones((2, 4)))
-
-
-def test_default_ridge_is_tiny():
-    assert 0.0 < DEFAULT_RIDGE <= 1e-8
 
 
 def _textbook_pairwise(spec, A, B):
@@ -133,6 +120,5 @@ def test_blocks_are_bit_identical_to_the_textbook_formula(spec):
         Y = 2.5 * rng.standard_normal((t, m))
         V = _textbook_pairwise(spec, X, X)
         V = np.triu(V) + np.triu(V, 1).T
-        V[np.diag_indices_from(V)] += DEFAULT_RIDGE
-        assert np.array_equal(gram(spec, X).values, V)
+        assert np.array_equal(gram(spec, X), V)
         assert np.array_equal(gram_cross(spec, X, Y), _textbook_pairwise(spec, X, Y))

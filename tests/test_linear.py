@@ -247,7 +247,7 @@ class TestSolve:
             b = np.full(3, 1.0 + np.max(np.abs(d.features @ W[0])))
             linear.append(training_objective(d, W, b, mode, hp))
             A = np.tile(rng.standard_normal(d.n_instances), (3, 1))
-            b = np.full(3, 1.0 + np.max(np.abs(G.values @ A[0])))
+            b = np.full(3, 1.0 + np.max(np.abs(G @ A[0])))
             kernel.append(training_objective_kernel(d, G, A, b, mode, hp))
         assert min(linear) >= 0.0 and min(kernel) >= 0.0
 

@@ -66,7 +66,23 @@ def test_kernel_round_trip_is_bit_identical(tmp_path):
     assert np.array_equal(back.b, model.b)
     assert np.array_equal(back.train_features, model.train_features)
     assert back.kernel == model.kernel
-    assert back.ridge == model.ridge
+    T = np.random.default_rng(2).standard_normal((20, 2))
+    assert np.array_equal(back.decision_scores(T), model.decision_scores(T))
+
+
+def test_kernel_document_with_a_ridge_field_still_loads(tmp_path):
+    # kernel documents written before fits stopped adding a Gram ridge carry
+    # a "ridge" field; format_version 1 still reads them, the field ignored
+    model = kernel_model()
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert "ridge" not in doc
+    doc["ridge"] = 1e-10
+    path.write_text(json.dumps(doc))
+    back = load_model(path)
+    assert np.array_equal(back.A, model.A)
+    assert np.array_equal(back.b, model.b)
     T = np.random.default_rng(2).standard_normal((20, 2))
     assert np.array_equal(back.decision_scores(T), model.decision_scores(T))
 
