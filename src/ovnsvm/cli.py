@@ -211,7 +211,8 @@ def _cmd_train(args) -> int:
     save_model(model, args.model_out)
     print(
         f"trained {args.solver} model: iterations={model.iterations_used} "
-        f"converged={model.converged} objective={model.final_objective:.6g} "
+        f"converged={model.converged} stop_reason={model.stop_reason} "
+        f"objective={model.final_objective:.6g} "
         f"kkt_residual={model.kkt_residual:.3e} "
         f"interior_point={model.interior_point!r}"
     )

@@ -46,7 +46,7 @@ class TrainedKernelModel:
 
     Retains the training features because prediction needs kernel values
     against them.  Diagnostics mirror TrainedLinearModel, ``interior_point``
-    included.
+    and ``stop_reason`` included.
     """
 
     A: np.ndarray
@@ -62,6 +62,7 @@ class TrainedKernelModel:
     surrogate_trace: list = field(default_factory=list)
     hinge_trace: list = field(default_factory=list)
     interior_point: str = ""
+    stop_reason: str = ""
 
     @property
     def n_classes(self) -> int:
@@ -191,7 +192,10 @@ def fit_kernel(
     semidefinite or rank-deficient G needs no jitter on its diagonal.
     The fit is the linear fit (:func:`ovnsvm.linear._minimize`) on the
     rows of the pivoted Cholesky factor R of the Gram matrix, interior-point
-    anchor included, so ``interior_point`` reports on the same method.  On
+    anchor included, so ``interior_point`` reports on the same method.  It
+    stops as that fit does, on the method's certificate ("gap"), the
+    surrogate change ("tol") or the cap ("cap"), as ``stop_reason`` says,
+    and returns the better of the last MM and interior-point iterates.  On
     an edge of the coupling window the Gram factor usually leaves coupling
     null directions without hinge curvature; the interior-point Newton
     system is singular there, that method stops on its first step, and MM
@@ -225,6 +229,7 @@ def fit_kernel(
         surrogate_trace=run.surrogate_trace,
         hinge_trace=run.hinge_trace,
         interior_point=run.interior_point,
+        stop_reason=run.stop_reason,
     )
 
 

@@ -126,7 +126,9 @@ class TrainedLinearModel:
     ``interior_point`` says how the interior-point anchor of the MM loop
     ended: "converged after n steps", "stopped on <error> after n steps"
     or "running after n steps" at the iteration cap (see
-    :func:`_minimize`); a model loaded from a file has "".
+    :func:`_minimize`).  ``stop_reason`` says why the fit stopped: "gap"
+    when that method certified the optimum, "tol" on the surrogate change,
+    "cap" at ``max_iters``.  A model loaded from a file has "" for both.
     """
 
     W: np.ndarray
@@ -140,6 +142,7 @@ class TrainedLinearModel:
     surrogate_trace: list = field(default_factory=list)
     hinge_trace: list = field(default_factory=list)
     interior_point: str = ""
+    stop_reason: str = ""
 
     @property
     def n_classes(self) -> int:
@@ -601,22 +604,23 @@ def _validate_fit_inputs(sets, mode, hp):
 
 @dataclass
 class _MMRun:
-    w: np.ndarray  # stacked augmented weights of the last solve, K x P
+    w: np.ndarray  # stacked augmented weights of the returned iterate, K x P
     kkt_residual: float
     converged: bool
     iterations: int
     surrogate_trace: list
     hinge_trace: list
     interior_point: str
+    stop_reason: str  # "gap", "tol" or "cap"
 
 
 def _to_boundary(xs, dxs, frac):
     """frac times the longest step that keeps every x + a dx >= 0, at most 1."""
     a = 1.0
-    for x, dx in zip(xs, dxs):
-        neg = dx < 0.0
-        if np.any(neg):
-            a = min(a, frac * float(np.min(x[neg] / -dx[neg])))
+    # the quotients where dx >= 0 (inf or nan at dx = 0) are masked out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x, dx in zip(xs, dxs):
+            a = min(a, frac * float(np.min(np.where(dx < 0.0, x / -dx, np.inf))))
     return a
 
 
@@ -660,37 +664,51 @@ class _InteriorPoint:
         self.lam, self.nu = np.full(n, hp.beta / 2.0), np.full(n, hp.beta / 2.0)
         self.steps = 0
         self.outcome = None  # why it stopped stepping, once it has
+        self._stationarity()
 
     def status(self) -> str:
         return self.outcome or f"running after {self.steps} steps"
 
-    def step(self):
-        """Take one predictor-corrector step, unless the method has stopped."""
+    @property
+    def residual(self) -> float:
+        """The iterate's stationarity residual relative to max(1, ||A' lam||)."""
+        return float(np.linalg.norm(self.r_w)) / max(1.0, self.dual_norm)
+
+    def step(self) -> bool:
+        """Take one predictor-corrector step, unless the method has stopped.
+
+        Returns True on the step at which the method converges.
+        """
         if self.outcome is not None:
-            return
+            return False
         try:
             self._step()
         except (HessianNotPD, SingularSystem) as e:
             self.outcome = f"stopped on {type(e).__name__} after {self.steps} steps"
-            return
+            return False
         self.steps += 1
         gap = float(self.lam @ self.s + self.nu @ self.xi)
         value = self.parts.regularizer(self.w) + self.hp.beta * float(np.sum(self.xi))
-        dual = self.parts.transpose_project(self.lam)
-        stationarity = np.linalg.norm(self._stationarity(dual))
-        if gap <= self.hp.tol * max(1.0, abs(value)) and stationarity <= self.hp.tol * max(
-            1.0, float(np.linalg.norm(dual))
-        ):
+        self._stationarity()
+        stationarity = float(np.linalg.norm(self.r_w))
+        converged = gap <= self.hp.tol * max(1.0, abs(value)) and (
+            stationarity <= self.hp.tol * max(1.0, self.dual_norm)
+        )
+        if converged:
             self.outcome = f"converged after {self.steps} steps"
+        return converged
 
-    def _stationarity(self, dual):
-        # 2H w + U q - sum_k A_k' lam_k
-        return self.parts.regularizer_gradient(self.w) + self.parts.hard * self.q - dual
+    def _stationarity(self):
+        # r_w = 2H w + U q - sum_k A_k' lam_k and ||sum_k A_k' lam_k||.  The
+        # next step's Newton system reads r_w at the same lam, w and q, so
+        # it is kept rather than built twice.
+        dual = self.parts.transpose_project(self.lam)
+        self.r_w = self.parts.regularizer_gradient(self.w) + self.parts.hard * self.q - dual
+        self.dual_norm = float(np.linalg.norm(dual))
 
     def _step(self):
         parts, hp = self.parts, self.hp
-        xi, s, lam, nu = self.xi, self.s, self.lam, self.nu
-        r_w = self._stationarity(parts.transpose_project(lam))
+        xi, s, lam, nu, r_w = self.xi, self.s, self.lam, self.nu, self.r_w
         r_xi = hp.beta - lam - nu
         r_p = self.u + xi - 1.0 - s
         z = np.maximum((hp.beta / 2.0) * (s / lam + xi / nu), hp.epsilon)
@@ -757,9 +775,16 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     Newton system has no such term and is singular there, so on those
     edges the method stops on its first step.
 
-    Stops when the relative surrogate change drops below ``hp.tol``; at
-    ``hp.max_iters`` the last iterate is returned with ``converged=False``
-    and a MaxItersExceeded warning.
+    Stops as soon as the interior-point method converges, on its own
+    certificate of the QP optimum (gap and stationarity within ``hp.tol``,
+    ``stop_reason`` "gap"), or when the relative surrogate change drops
+    below ``hp.tol`` ("tol"); at ``hp.max_iters`` ("cap") the fit ends
+    with ``converged=False`` and a MaxItersExceeded warning.  At every stop
+    it returns whichever of the last MM iterate and the interior-point
+    iterate has the lower training functional reg(w) + beta sum hinge(u),
+    the MM iterate on a tie; ``kkt_residual`` is then the relative
+    residual of the last MM solve or the relative stationarity residual of
+    the interior-point iterate.  Both traces hold MM iterates only.
     """
     K, P = len(parts.rows), parts.metric.shape[0]
     beta, eps = hp.beta, hp.epsilon
@@ -773,7 +798,7 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     prev_F = None
     prev = None  # (w, u) of the previous solve
     w_a = np.zeros((K, P))  # the point at which the auxiliaries are tight
-    converged = False
+    stop_reason = "cap"
     iterations = hp.max_iters
     for t in range(1, hp.max_iters + 1):  # Hyperparameters keeps max_iters >= 1
         w, _, resid = _solve_blocks(*parts.blocks(state.z, w_a), parts.hard, parts.note)
@@ -783,11 +808,12 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
         state.objective_trace.append(F)
         hinge_trace.append(reg + beta * float(np.sum(hinge(u))))
         if prev_F is not None and abs(F - prev_F) <= hp.tol * max(1.0, abs(prev_F)):
-            converged = True
-            iterations = t
+            stop_reason, iterations = "tol", t
             break
         prev_F = F
-        ipm.step()
+        if ipm.step():
+            stop_reason, iterations = "gap", t
+            break
         candidates = [(ipm.w, ipm.u)]
         if prev is not None:
             candidates.insert(0, (2.0 * w - prev[0], 2.0 * u - prev[1]))
@@ -798,14 +824,17 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
                 anchor, w_a, best = u_c, w_c, h_c
         prev = (w, u)
         state.update(np.split(anchor, parts.cuts))
-    if not converged:
+    if stop_reason == "cap":
         warnings.warn(
             f"MM loop stopped at max_iters={hp.max_iters} before reaching tol",
             MaxItersExceeded,
             stacklevel=3,
         )
+    if parts.regularizer(ipm.w) + beta * float(np.sum(hinge(ipm.u))) < hinge_trace[-1]:
+        w, resid = ipm.w, ipm.residual
     return _MMRun(
-        w, resid, converged, iterations, state.objective_trace, hinge_trace, ipm.status()
+        w, resid, stop_reason != "cap", iterations, state.objective_trace, hinge_trace,
+        ipm.status(), stop_reason,
     )
 
 
@@ -838,12 +867,14 @@ def fit_linear(
     Notes
     -----
     Runs the shared MM iteration (see :func:`_minimize`), which re-anchors
-    its bound on an interior-point iterate when that is the better anchor
-    and stops when the relative surrogate change drops below ``hp.tol``.
-    The returned weights are those of the last MM solve; the model's
+    its bound on an interior-point iterate when that is the better anchor.
+    It stops once that method certifies the optimum (``stop_reason``
+    "gap") or the relative surrogate change drops below ``hp.tol``
+    ("tol"), and returns the better of the last MM iterate and the
+    interior-point iterate by the training functional; the model's
     ``interior_point`` says how the interior-point method ended.  If
-    ``hp.max_iters`` is reached first, the last iterate is returned with
-    ``converged=False`` and a MaxItersExceeded warning.
+    ``hp.max_iters`` is reached first ("cap"), the better of the two is
+    returned with ``converged=False`` and a MaxItersExceeded warning.
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, mode, hp)
@@ -862,4 +893,5 @@ def fit_linear(
         surrogate_trace=run.surrogate_trace,
         hinge_trace=run.hinge_trace,
         interior_point=run.interior_point,
+        stop_reason=run.stop_reason,
     )

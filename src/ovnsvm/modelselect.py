@@ -58,6 +58,8 @@ class TupleResult:
     params: dict
     fold_accuracies: list = field(default_factory=list)
     fold_hammings: list = field(default_factory=list)
+    fold_iterations: list = field(default_factory=list)
+    fold_stop_reasons: list = field(default_factory=list)
     mean_accuracy: float = 0.0
     mean_hamming: float = 1.0
     feasible: bool = True
@@ -85,6 +87,8 @@ class CVReport:
                     "params": t.params,
                     "fold_accuracies": t.fold_accuracies,
                     "fold_hammings": t.fold_hammings,
+                    "fold_iterations": t.fold_iterations,
+                    "fold_stop_reasons": t.fold_stop_reasons,
                     "mean_accuracy": t.mean_accuracy,
                     "mean_hamming": t.mean_hamming,
                     "feasible": t.feasible,
@@ -161,6 +165,8 @@ def _evaluate_tuple(dataset, folds, params, grid, task, solver):
             acc, ham = _score_fold(model, dataset.subset(test_idx), task)
             result.fold_accuracies.append(float(acc))
             result.fold_hammings.append(float(ham))
+            result.fold_iterations.append(model.iterations_used)
+            result.fold_stop_reasons.append(model.stop_reason)
         result.mean_accuracy = float(np.mean(result.fold_accuracies))
         result.mean_hamming = float(np.mean(result.fold_hammings))
     except HessianNotPD as e:
@@ -168,6 +174,8 @@ def _evaluate_tuple(dataset, folds, params, grid, task, solver):
         result.error = f"HessianNotPD: {e}"
         result.fold_accuracies = []
         result.fold_hammings = []
+        result.fold_iterations = []
+        result.fold_stop_reasons = []
     return result
 
 

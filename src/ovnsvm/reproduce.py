@@ -35,8 +35,9 @@ TABLES = ("t3", "t4", "t5", "unseen")
 # Pinned recipe for the unseen-label toy.  The training clusters are repo
 # constants (see data.py); the fit below reproduces the six-row test table
 # exactly, so these values are load-bearing and must not drift.  The fit
-# stops on the tolerance after 11 MM iterations; the iteration budget is
-# headroom and does not decide the table.
+# stops on the surrogate change ("tol") after 11 MM iterations, with the
+# interior-point method still running; the iteration budget is headroom
+# and does not decide the table.
 UNSEEN_SEED = 7
 UNSEEN_N = 10
 UNSEEN_MODE = "sw-hb"
@@ -48,9 +49,10 @@ UNSEEN_TOL = 1e-9
 # Pinned toy recipes for the two-class table.  Support-vector counts carry
 # a +/-3 band per class because the reference extraction rule is unstated.
 # The counts compare scores against 1, so the fits run to the tight
-# tolerance below rather than the fit defaults; hourglass, moon and
-# random_two_class stop on it after 32, 29 and 11 MM iterations, far inside
-# the budget.
+# tolerance below rather than the fit defaults.  Hourglass and moon stop
+# on the interior-point certificate after 11 MM iterations each, and
+# random_two_class on the surrogate change after 11, far inside the
+# budget.
 T3_RECIPES = {
     "hourglass": {
         "kernel": {"kind": "gaussian", "sigma": 0.6},

@@ -94,6 +94,7 @@ def test_train_summary_says_how_the_interior_point_anchor_ended(tmp_path, capsys
     assert code == 0
     summary = capsys.readouterr().out.splitlines()[0]
     assert re.search(r"interior_point='(converged|running) after \d+ steps'$", summary)
+    assert re.search(r" stop_reason=(gap|tol) ", summary)
 
 
 def test_train_linear_and_multiclass_column(tmp_path):

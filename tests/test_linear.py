@@ -36,7 +36,7 @@ from ovnsvm import (
     training_objective_kernel,
 )
 from ovnsvm.kernel import _kernel_parts
-from ovnsvm.linear import _InteriorPoint, _linear_parts, _solve_blocks
+from ovnsvm.linear import _InteriorPoint, _linear_parts, _solve_blocks, _to_boundary
 from ovnsvm.majorization import hinge
 from ovnsvm.oracle import subgradient_fit
 
@@ -491,6 +491,7 @@ class TestFit:
             )
         assert not model.converged
         assert model.iterations_used == 2
+        assert model.stop_reason == "cap"
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.token)
     def test_default_budget_reaches_the_optimum(self, mode):
@@ -518,6 +519,32 @@ class TestFit:
             warnings.simplefilter("error", MaxItersExceeded)
             model = fit_linear(d, mode, Hyperparameters())
         assert model.converged
+        # the fit returns the better of the MM and the interior-point
+        # iterate, and either meets the held sums.  Here the interior-point
+        # iterate wins in every mode: the last MM iterate carries the
+        # epsilon clamp of its bound.
+        hp = model.hyperparameters
+        assert training_objective(d, model.W, model.b, mode, hp) < model.hinge_trace[-1]
+        res = feasibility(model.W, model.b)
+        if mode.w_constraint == "hard":
+            assert res["sum_w_inf"] <= 1e-10
+        if mode.b_constraint == "hard":
+            assert res["sum_b_abs"] <= 1e-10
+
+    def test_fit_stops_on_the_interior_point_certificate(self):
+        # the method converges in a few steps while MM, its bound clamped at
+        # a coarse epsilon, would crawl on to the cap above the optimum
+        d = random_multilabel(np.random.default_rng(3), 60, 4, 3)
+        mode, hp = ConstraintMode("soft", "soft"), Hyperparameters(
+            epsilon=0.01, beta=1e4, max_iters=1000
+        )
+        model = fit_linear(d, mode, hp)
+        assert model.converged and model.stop_reason == "gap"
+        assert model.iterations_used <= 10
+        assert model.interior_point == f"converged after {model.iterations_used} steps"
+        assert len(model.hinge_trace) == model.iterations_used
+        assert training_objective(d, model.W, model.b, mode, hp) <= 9.000001
+        assert model.kkt_residual <= hp.tol
 
     def test_empty_class_rejected(self):
         d = Dataset([[1.0], [2.0]], [[1, 0], [1, 0]])
@@ -601,3 +628,36 @@ class TestInteriorPointAnchor:
             assert np.min(ipm.xi - hinge(ipm.u)) >= -1e-12
             assert min(ipm.s.min(), ipm.xi.min(), ipm.lam.min(), ipm.nu.min()) > 0.0
             np.testing.assert_allclose(ipm.lam + ipm.nu, hp.beta, rtol=1e-12)
+            # the kept stationarity vector is the one the iterate has
+            fresh = (parts.regularizer_gradient(ipm.w) + parts.hard * ipm.q
+                     - parts.transpose_project(ipm.lam))
+            assert np.array_equal(ipm.r_w, fresh)
+
+
+def _to_boundary_by_gathers(xs, dxs, frac):
+    # the step to the boundary from the negative entries gathered out
+    a = 1.0
+    for x, dx in zip(xs, dxs):
+        neg = dx < 0.0
+        if np.any(neg):
+            a = min(a, frac * float(np.min(x[neg] / -dx[neg])))
+    return a
+
+
+@pytest.mark.parametrize("frac", [1.0, 0.99])
+def test_to_boundary_matches_the_gathered_quotients(frac):
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        xs = [rng.uniform(0.0, 2.0, 40) for _ in range(4)]
+        dxs = [rng.standard_normal(40) * rng.uniform(0.1, 10.0) for _ in range(4)]
+        for x, dx in zip(xs, dxs):
+            x[rng.uniform(size=40) < 0.2] = 0.0
+            dx[rng.uniform(size=40) < 0.2] = 0.0
+        xs[1][0], dxs[1][0] = 0.0, 0.0  # 0/0 sits under the mask
+        dxs[2] = np.abs(dxs[2])  # an array with no negative entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _to_boundary(xs, dxs, frac)
+        assert got == _to_boundary_by_gathers(xs, dxs, frac)
+    # no negative direction anywhere: the full step
+    assert _to_boundary([np.ones(3)], [np.zeros(3)], frac) == 1.0

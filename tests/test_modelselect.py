@@ -105,6 +105,12 @@ class TestGridSearch:
             assert len(t.fold_accuracies) == 3
         doc = report.as_dict()
         assert doc["n_folds"] == 3 and len(doc["tuples"]) == 2
+        # how each fold's fit ended
+        for t, row in zip(report.tuples, doc["tuples"]):
+            assert row["fold_iterations"] == t.fold_iterations
+            assert row["fold_stop_reasons"] == t.fold_stop_reasons
+            assert len(t.fold_iterations) == 3 and min(t.fold_iterations) >= 1
+            assert set(t.fold_stop_reasons) <= {"gap", "tol"}
 
     def test_thread_count_does_not_change_the_result(self):
         rng = np.random.default_rng(1)
@@ -134,6 +140,7 @@ class TestGridSearch:
         good = [t for t in report.tuples if t.feasible]
         assert bad and good
         assert all("HessianNotPD" in t.error for t in bad)
+        assert all(t.fold_iterations == t.fold_stop_reasons == [] for t in bad)
         assert report.best_tuple["alpha"] == 0.5
 
     def test_all_tuples_infeasible(self):

@@ -53,6 +53,8 @@ def test_linear_round_trip_is_bit_identical(tmp_path):
     assert back.hyperparameters == model.hyperparameters
     assert back.iterations_used == model.iterations_used
     assert back.converged == model.converged
+    # the file keeps no diagnostics of how the fit ran
+    assert model.stop_reason and back.stop_reason == back.interior_point == ""
     T = np.random.default_rng(1).standard_normal((20, 3))
     assert np.array_equal(back.decision_scores(T), model.decision_scores(T))
 
