@@ -58,7 +58,6 @@ from .linear import (
     assemble,
     feasibility,
     fit_linear,
-    objective,
     solve_kkt,
     training_objective,
 )
@@ -140,7 +139,6 @@ __all__ = [
     "majorizer",
     "matrix_to_label_sets",
     "normalize_minmax",
-    "objective",
     "ovr_baseline_fit",
     "predict_multiclass",
     "predict_multilabel",

@@ -163,11 +163,15 @@ def normalize_minmax(dataset: Dataset) -> Dataset:
 
 def _parse_float(cell, row_idx, col_name):
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise MalformedCsv(
             f"row {row_idx}, column {col_name}: non-numeric value {cell!r}"
         ) from None
+    # float() reads "nan" and "inf", which no fit or score can use
+    if not np.isfinite(value):
+        raise MalformedCsv(f"row {row_idx}, column {col_name}: non-finite value {cell!r}")
+    return value
 
 
 def _parse_label(cell, row_idx, col_name):

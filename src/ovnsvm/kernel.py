@@ -46,7 +46,8 @@ class TrainedKernelModel:
 
     Retains the training features because prediction needs kernel values
     against them.  Diagnostics mirror TrainedLinearModel, ``interior_point``
-    and ``stop_reason`` included.
+    and ``stop_reason`` included; ``final_objective`` is the minimized
+    functional at (A, b), :func:`training_objective_kernel`.
     """
 
     A: np.ndarray
@@ -143,25 +144,15 @@ def assemble_kernel(
     return parts.system(state.z)
 
 
-def _kernel_functional(dataset, G, A, b, mode, alpha, beta, gamma):
+def training_objective_kernel(
+    dataset: Dataset, G: np.ndarray, A, b, mode: ConstraintMode, hp: Hyperparameters
+) -> float:
+    """Kernel-space value of the functional the solver minimizes, on G from :func:`gram`."""
     # w_k = sum_i A[k, i] phi(x_i), so G is the inner product of A's rows
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     return _functional(
-        alpha, beta, gamma, lambda a: float(np.sum((a @ G) * a)), A, b, (A @ G).T + b,
-        dataset.labels, mode,
+        lambda a: float(np.sum((a @ G) * a)), A, b, (A @ G).T + b, dataset.labels, mode, hp
     )
-
-
-def training_objective_kernel(
-    dataset: Dataset,
-    G: np.ndarray,
-    A,
-    b,
-    mode: ConstraintMode,
-    hp: Hyperparameters,
-) -> float:
-    """Kernel-space value of the functional the solver minimizes, on G from :func:`gram`."""
-    return _kernel_functional(dataset, G, A, b, mode, hp.alpha, hp.beta, hp.gamma)
 
 
 def fit_kernel(
@@ -221,9 +212,7 @@ def fit_kernel(
         mode=mode,
         hyperparameters=hp,
         iterations_used=run.iterations,
-        final_objective=0.5 * _kernel_functional(  # the halved convention of linear.objective
-            dataset, G, A, b, mode, 2 * hp.alpha, 2 * hp.beta, 2 * hp.gamma
-        ),
+        final_objective=training_objective_kernel(dataset, G, A, b, mode, hp),
         kkt_residual=run.kkt_residual,
         converged=run.converged,
         surrogate_trace=run.surrogate_trace,

@@ -11,14 +11,14 @@ the doubled step or at the iterate of an interior-point method on the same
 problem when a safeguard allows (``_minimize``, which the kernel solver
 runs too).  Classes meet only through the sum of their weight
 vectors, so each solve takes one small Cholesky factor per class and one
-system in the shared sum (``_solve_blocks``); ``assemble`` and
+system in the shared sum (``_factor_blocks``); ``assemble`` and
 ``solve_kkt`` keep the dense system as the reference.  The surrogate
 objective value never increases.
 
-Two objective evaluators are exposed.  ``training_objective`` is the
-functional the solver actually minimizes,
+The functional the solver minimizes, which ``training_objective``
+evaluates and every fit reports as ``final_objective``, is
 
-    F(alpha, beta, gamma) = sum_k ||w_k||^2 + alpha sum_{k<l} <w_k, w_l>  [soft-w]
+    F = sum_k ||w_k||^2 + alpha sum_{k<l} <w_k, w_l>  [soft-w]
         + gamma (sum_k b_k)^2 [soft-b] + beta sum_k sum_{i in C_k} hinge(w_k' x_i + b_k),
 
 whose stationarity condition is exactly the assembled system below.  Its
@@ -27,10 +27,7 @@ I + pair 11', pair = alpha/2 (0 in hard-w modes), whose eigenvalues
 c_con = 1 - pair on class contrasts and c_mean = 1 + (K-1) pair on the
 class mean give them as c_con sum_k ||w_k - wbar||^2 + c_mean K ||wbar||^2
 for the mean row wbar.  The window -2/(K-1) <= alpha <= 2 keeps both
-eigenvalues >= 0, and there no term of F is negative.  ``objective``
-gives the public API's halved norm convention (1/2 ||w_k||^2) as
-1/2 F(2 alpha, 2 beta, 2 gamma); in soft-w modes that is indefinite for
-alpha > 1 or alpha < -1/(K-1), where 2 alpha leaves the window.
+eigenvalues >= 0, and there no term of F is negative.
 """
 
 from __future__ import annotations
@@ -119,10 +116,8 @@ class TrainedLinearModel:
     ``surrogate_trace`` holds the surrogate objective after every weight
     solve (non-increasing); ``hinge_trace`` holds the training objective at
     the same iterates.  ``kkt_residual`` is the relative residual of the
-    final first-order system solve.  ``final_objective`` reports the halved
-    norm convention of :func:`objective`, 1/2 F(2 alpha, 2 beta, 2 gamma);
-    for alpha > 1 or alpha < -1/(K-1), where 2 alpha leaves the window, it
-    can lie far below the minimized value, :func:`training_objective`.
+    final first-order system solve.  ``final_objective`` is the minimized
+    functional at (W, b), :func:`training_objective`.
     ``interior_point`` says how the interior-point anchor of the MM loop
     ended: "converged after n steps", "stopped on <error> after n steps"
     or "running after n steps" at the iteration cap (see
@@ -162,7 +157,7 @@ class AssembledSystem:
     """One surrogate quadratic problem as the dense reference system.
 
     Fits never build it: they solve the same problem by class blocks (see
-    :func:`_solve_blocks`).  Tests and callers that want the whole matrix
+    :func:`_factor_blocks`).  Tests and callers that want the whole matrix
     use it with :func:`solve_kkt`.
 
     Parameters
@@ -203,7 +198,7 @@ class _FixedParts:
 
     Every one of those cross-class terms acts through sum_k w_k, so the
     fit solves each surrogate by class blocks (:meth:`blocks`,
-    :func:`_solve_blocks`); :meth:`system` assembles the same problem as
+    :func:`_factor_blocks`); :meth:`system` assembles the same problem as
     the dense reference.
     """
 
@@ -309,7 +304,7 @@ def _linear_parts(X, sets, mode, hp, context="") -> _FixedParts:
     Xa = augment_rows(X)
     D = np.eye(M + 1)
     D[M, M] = 0.0  # the regularizer does not touch the bias coordinate
-    pair = hp.alpha / 2.0 if mode.w_constraint == "soft" else 0.0
+    pair = _pair(mode, hp)
     # the coupling's eigenvalues with the projectors onto their spaces, as
     # (f0, f1) of f0 I + f1 11'/K.  At K = 1 the contrast projector is 0,
     # but its split still moves all of the coupling into the block.
@@ -437,8 +432,8 @@ def solve_kkt(system: AssembledSystem):
     return w, lam
 
 
-def _solve_blocks(F, rhs, shared, hard, note):
-    """Solve [[2H, U], [U', 0]] [w; lam] = [rhs; 0] by class blocks.
+def _factor_blocks(F, shared, hard, note):
+    """Factor [[2H, U], [U', 0]] [w; lam] = [rhs; 0] by class blocks once.
 
     2H = blockdiag(F_k) + V diag(shared) V' and U = V[:, hard], with
     V = 1_K (x) I_P and ``shared`` zero on the held coordinates (see
@@ -452,21 +447,10 @@ def _solve_blocks(F, rhs, shared, hard, note):
     Cholesky factors of order P and one LU factor of order P in place of
     the Cholesky factor of order K P.  Refinement rounds on the residual of
     the full KKT system are kept only when it drops, as in
-    :func:`_solve_reduced`.  ``F`` is (K, P, P) and ``rhs`` (K, P); returns
-    (w as K x P, multipliers, relative KKT residual).
-    """
-    if not np.all(np.isfinite(rhs)):
-        raise SingularSystem("assembled system contains non-finite entries")
-    w, q, resid = _factor_blocks(F, shared, hard, note)(rhs)
-    return w, q[hard], resid
-
-
-def _factor_blocks(F, shared, hard, note):
-    """Factor the class-block system of :func:`_solve_blocks` once.
-
-    Returns ``solve(rhs)``, which gives (w, q, relative KKT residual) for
-    the right side ``rhs``, with q = shared * s + (the multipliers on the
-    held coordinates).  Raises as :func:`_solve_blocks` does.
+    :func:`_solve_reduced`.  ``F`` is (K, P, P); returns ``solve(rhs)``,
+    which gives (w as K x P, q, relative KKT residual) for the (K, P) right
+    side ``rhs``, so the multipliers are ``q[hard]``.  Non-finite entries in
+    the blocks or in a right side raise SingularSystem.
     """
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(shared))):
         raise SingularSystem("assembled system contains non-finite entries")
@@ -502,6 +486,9 @@ def _factor_blocks(F, shared, hard, note):
         return x - inv @ q, q
 
     def refined(rhs):
+        if not np.all(np.isfinite(rhs)):
+            raise SingularSystem("assembled system contains non-finite entries")
+
         def residual(w, q):
             s = w.sum(axis=0)
             r1 = rhs - np.matmul(F, w[:, :, None])[:, :, 0] - shared * s - hard * q
@@ -538,41 +525,32 @@ def _coupled_norm(spectrum, sq, V):
     return c_con * sq(V - mean) + c_mean * len(V) * sq(mean)
 
 
-def _functional(alpha, beta, gamma, sq, V, b, scores, labels, mode):
+def _pair(mode, hp):
+    # the coupling's off-diagonal entry: alpha/2 in soft-w modes, 0 in hard-w
+    return hp.alpha / 2.0 if mode.w_constraint == "soft" else 0.0
+
+
+def _functional(sq, V, b, scores, labels, mode, hp):
     # the functional F at weight rows V for the row inner product's squared
     # norm sq, with the hinge loss of the N x K scores where labels is 1
-    pair = alpha / 2.0 if mode.w_constraint == "soft" else 0.0
-    value = _coupled_norm(_coupling_spectrum(pair, len(V)), sq, V)
+    value = _coupled_norm(_coupling_spectrum(_pair(mode, hp), len(V)), sq, V)
     if mode.b_constraint == "soft":
-        value += gamma * float(np.sum(b)) ** 2
-    return value + beta * float(np.sum(hinge(scores)[labels == 1]))
-
-
-def _linear_functional(dataset, W, b, mode, alpha, beta, gamma):
-    W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
-    return _functional(
-        alpha, beta, gamma, lambda v: float(np.sum(v * v)), W, b,
-        dataset.features @ W.T + b, dataset.labels, mode,
-    )
-
-
-def objective(dataset: Dataset, W, b, mode: ConstraintMode, hp: Hyperparameters) -> float:
-    """Objective value in the halved norm convention.
-
-    The functional F of :func:`training_objective` as
-    ``1/2 F(2 alpha, 2 beta, 2 gamma)``: ``1/2 sum_k ||w_k||^2`` plus the
-    soft penalty terms that the mode activates plus ``beta`` times the
-    total hinge loss over positive pairs.  Hard-constraint feasibility is
-    not folded in; see :func:`feasibility`.
-    """
-    return 0.5 * _linear_functional(dataset, W, b, mode, 2 * hp.alpha, 2 * hp.beta, 2 * hp.gamma)
+        value += hp.gamma * float(np.sum(b)) ** 2
+    return value + hp.beta * float(np.sum(hinge(scores)[labels == 1]))
 
 
 def training_objective(
     dataset: Dataset, W, b, mode: ConstraintMode, hp: Hyperparameters
 ) -> float:
-    """The functional the solver minimizes (unhalved norm convention)."""
-    return _linear_functional(dataset, W, b, mode, hp.alpha, hp.beta, hp.gamma)
+    """The functional the solver minimizes, at the weights W and biases b.
+
+    Hard-constraint feasibility is not folded in; see :func:`feasibility`.
+    """
+    W, b = np.asarray(W, dtype=float), np.asarray(b, dtype=float)
+    return _functional(
+        lambda v: float(np.sum(v * v)), W, b, dataset.features @ W.T + b,
+        dataset.labels, mode, hp,
+    )
 
 
 def feasibility(W, b) -> dict:
@@ -592,7 +570,7 @@ def _validate_fit_inputs(sets, mode, hp):
     K = len(sets)
     # a negative eigenvalue of the coupling leaves the objective unbounded
     # below, whatever the data
-    if mode.w_constraint == "soft" and min(_coupling_spectrum(hp.alpha / 2.0, K)) < 0:
+    if min(_coupling_spectrum(_pair(mode, hp), K)) < 0:
         lo = -2 / (K - 1) if K > 1 else -np.inf
         raise HessianNotPD(
             f"alpha={hp.alpha} is outside [{lo:g}, 2], the definite window "
@@ -746,7 +724,7 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     """The MM iteration shared by the linear and the kernel solver.
 
     Each KKT solve gives w_t, the minimizer of the surrogate at the current
-    auxiliaries, by class blocks (:func:`_solve_blocks`): K Cholesky
+    auxiliaries, by class blocks (:func:`_factor_blocks`): K Cholesky
     factors of order P and one P x P system in the class sum, K P^3 +
     O(P^3) flops against (K P)^3 / 3 for the dense factor.  A block that
     is not positive definite raises HessianNotPD naming its class;
@@ -801,7 +779,8 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     stop_reason = "cap"
     iterations = hp.max_iters
     for t in range(1, hp.max_iters + 1):  # Hyperparameters keeps max_iters >= 1
-        w, _, resid = _solve_blocks(*parts.blocks(state.z, w_a), parts.hard, parts.note)
+        blocks, rhs, shared = parts.blocks(state.z, w_a)
+        w, _, resid = _factor_blocks(blocks, shared, parts.hard, parts.note)(rhs)
         u = parts.project(w)
         reg = parts.regularizer(w)
         F = reg + beta * float(np.sum(majorizer(u, np.concatenate(state.z))))
@@ -887,7 +866,7 @@ def fit_linear(
         mode=mode,
         hyperparameters=hp,
         iterations_used=run.iterations,
-        final_objective=objective(dataset, W, b, mode, hp),
+        final_objective=training_objective(dataset, W, b, mode, hp),
         kkt_residual=run.kkt_residual,
         converged=run.converged,
         surrogate_trace=run.surrogate_trace,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -110,53 +111,35 @@ def load_model(path):
             W = np.asarray(_need(doc, "W"), dtype=float)
             if W.ndim != 2 or W.shape != (int(_need(doc, "K")), int(_need(doc, "M"))):
                 raise ParseError("W has the wrong shape")
-            if b.shape != (W.shape[0],):
-                raise ParseError("b has the wrong shape")
-            if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
-                raise InvariantViolation("stored weights contain non-finite values")
-            _check_hard_invariants(mode, W, b, "weight")
-            return TrainedLinearModel(
-                W=W,
-                b=b,
-                mode=mode,
-                hyperparameters=hp,
-                iterations_used=int(diag["iterations_used"]),
-                final_objective=float(diag["final_objective"]),
-                kkt_residual=float(diag["kkt_residual"]),
-                converged=bool(diag["converged"]),
-            )
-        if kind == "kernel":
+            rows, arrays, what = W, (W, b), "weight"
+            build = partial(TrainedLinearModel, W=W)
+        elif kind == "kernel":
             A = np.asarray(_need(doc, "A"), dtype=float)
             X = np.asarray(_need(doc, "train_features"), dtype=float)
             kdoc = _need(doc, "kernel")
-            spec = KernelSpec(
-                kind=kdoc["kind"],
-                sigma=kdoc["sigma"],
-                degree=kdoc["degree"],
-                coef0=kdoc["coef0"],
-            )
+            spec = KernelSpec(**{f: kdoc[f] for f in ("kind", "sigma", "degree", "coef0")})
             if A.ndim != 2 or A.shape != (int(_need(doc, "K")), int(_need(doc, "N"))):
                 raise ParseError("A has the wrong shape")
             if X.ndim != 2 or X.shape != (A.shape[1], int(_need(doc, "M"))):
                 raise ParseError("train_features has the wrong shape")
-            if b.shape != (A.shape[0],):
-                raise ParseError("b has the wrong shape")
-            if not all(np.all(np.isfinite(v)) for v in (A, X, b)):
-                raise InvariantViolation("stored weights contain non-finite values")
-            _check_hard_invariants(mode, A, b, "coefficient")
-            return TrainedKernelModel(
-                A=A,
-                b=b,
-                kernel=spec,
-                train_features=X,
-                mode=mode,
-                hyperparameters=hp,
-                iterations_used=int(diag["iterations_used"]),
-                final_objective=float(diag["final_objective"]),
-                kkt_residual=float(diag["kkt_residual"]),
-                converged=bool(diag["converged"]),
-            )
-        raise ParseError(f"unknown model_kind {kind!r}")
+            rows, arrays, what = A, (A, X, b), "coefficient"
+            build = partial(TrainedKernelModel, A=A, kernel=spec, train_features=X)
+        else:
+            raise ParseError(f"unknown model_kind {kind!r}")
+        if b.shape != (rows.shape[0],):
+            raise ParseError("b has the wrong shape")
+        if not all(np.all(np.isfinite(v)) for v in arrays):
+            raise InvariantViolation("stored weights contain non-finite values")
+        _check_hard_invariants(mode, rows, b, what)
+        return build(
+            b=b,
+            mode=mode,
+            hyperparameters=hp,
+            iterations_used=int(diag["iterations_used"]),
+            final_objective=float(diag["final_objective"]),
+            kkt_residual=float(diag["kkt_residual"]),
+            converged=bool(diag["converged"]),
+        )
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed model document: {e}") from e
 

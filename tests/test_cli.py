@@ -239,6 +239,27 @@ class TestExitCodes:
         code = run("train", "--data", str(bad), "--model-out", str(tmp_path / "m.json"))
         assert code == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cells_are_data_errors(self, tmp_path, capsys, cell):
+        good, model = tmp_path / "good.csv", tmp_path / "m.json"
+        good.write_text("x,y,label:a,label:b\n0,0,1,0\n1,1,0,1\n0,1,1,0\n1,0,0,1\n")
+        assert run("train", "--data", str(good), "--model-out", str(model)) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x,y,label:a,label:b\n0,0,1,0\n1,{cell},0,1\n")
+        for solver in ("linear", "kernel"):
+            code = run(
+                "train", "--data", str(bad), "--solver", solver,
+                "--model-out", str(tmp_path / "b.json"),
+            )
+            assert code == 3
+        features = tmp_path / "features.csv"
+        features.write_text(f"x,y\n0.5,0.5\n{cell},1\n")
+        pred = tmp_path / "p.csv"
+        code = run("predict", "--model", str(model), "--data", str(features), "--out", str(pred))
+        assert code == 3
+        assert not pred.exists()
+        assert "row 2, column x: non-finite value" in capsys.readouterr().err
+
     def test_corrupt_model_document(self, tmp_path):
         data = tmp_path / "d.csv"
         run("synth", "--kind", "moon", "--out", str(data))

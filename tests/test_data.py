@@ -144,6 +144,17 @@ class TestCsv:
         with pytest.raises(MalformedCsv, match="non-numeric"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature(self, tmp_path, cell):
+        path = tmp_path / "n.csv"
+        path.write_text(f"x,y,label:a\n1.0,2.0,1\n0.5,{cell},1\n")
+        message = rf"row 2, column y: non-finite value '{cell}'"
+        with pytest.raises(MalformedCsv, match=message):
+            load_csv(path)
+        path.write_text(f"x,y\n1.0,2.0\n0.5,{cell}\n")
+        with pytest.raises(MalformedCsv, match=message):
+            load_features(path)
+
     def test_bad_label_cell(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text("x,label:a\n1.0,2\n")

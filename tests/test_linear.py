@@ -30,13 +30,12 @@ from ovnsvm import (
     fit_kernel,
     fit_linear,
     gram,
-    objective,
     solve_kkt,
     training_objective,
     training_objective_kernel,
 )
 from ovnsvm.kernel import _kernel_parts
-from ovnsvm.linear import _InteriorPoint, _linear_parts, _solve_blocks, _to_boundary
+from ovnsvm.linear import _factor_blocks, _InteriorPoint, _linear_parts, _to_boundary
 from ovnsvm.majorization import hinge
 from ovnsvm.oracle import subgradient_fit
 
@@ -278,8 +277,9 @@ def _clamped_z(rng, sets, epsilon=1e-6):
 
 
 def _block_solve(parts, z, w_a):
-    w, lam, _ = _solve_blocks(*parts.blocks(z, w_a), parts.hard, parts.note)
-    return w.ravel(), lam
+    F, rhs, shared = parts.blocks(z, w_a)
+    w, q, _ = _factor_blocks(F, shared, parts.hard, parts.note)(rhs)
+    return w.ravel(), q[parts.hard]
 
 
 def _assert_same_solution(got, ref):
@@ -353,7 +353,14 @@ class TestBlockSolve:
     def test_a_block_that_is_not_positive_definite_names_its_class(self):
         F = np.stack([np.eye(3), -np.eye(3), np.eye(3)])
         with pytest.raises(HessianNotPD, match="class 1 is not positive definite"):
-            _solve_blocks(F, np.ones((3, 3)), np.zeros(3), np.zeros(3, dtype=bool), "")
+            _factor_blocks(F, np.zeros(3), np.zeros(3, dtype=bool), "")
+
+    def test_a_non_finite_right_side_raises_singular_system(self):
+        # the check sits in the returned solve, so the interior-point right
+        # sides are checked as the MM ones are
+        solve = _factor_blocks(np.stack([np.eye(3)] * 2), np.zeros(3), np.zeros(3, dtype=bool), "")
+        with pytest.raises(SingularSystem, match="non-finite"):
+            solve(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_hinge_blocks_raise_singular_system(self):
@@ -434,27 +441,22 @@ class TestFit:
         if mode.b_constraint == "hard":
             assert res["sum_b_abs"] <= 1e-8
 
-    def test_objective_conventions_differ_by_half_norm(self):
-        rng = np.random.default_rng(13)
-        d = random_multilabel(rng, 15, 2, 2)
+    @pytest.mark.parametrize("alpha", [-0.9, 1.9, 2.0])
+    def test_final_objective_is_the_minimized_functional(self, alpha):
+        # at alpha = 1.9 and -0.9 the functional at doubled coefficients is
+        # indefinite, and 2.0 is the window's upper edge
+        d = random_multilabel(np.random.default_rng(0), 40, 3, 3)
+        mode = ConstraintMode("soft", "hard")
+        hp = Hyperparameters(alpha=alpha, beta=100.0)
         with quiet_max_iters():
-            model = fit_linear(
-                d, ConstraintMode("soft", "hard"), Hyperparameters(max_iters=40)
-            )
-        hp = model.hyperparameters
-        half = objective(d, model.W, model.b, model.mode, hp)
-        full = training_objective(d, model.W, model.b, model.mode, hp)
-        assert full - half == pytest.approx(0.5 * float(np.sum(model.W**2)), rel=1e-12)
-        assert model.final_objective == pytest.approx(half)
-        # the halved convention is the functional at doubled coefficients
-        doubled = Hyperparameters(alpha=2 * hp.alpha, beta=2 * hp.beta, gamma=2 * hp.gamma)
-        assert half == 0.5 * training_objective(d, model.W, model.b, model.mode, doubled)
-        G = gram(KernelSpec(kind="linear"), d.features)
-        with quiet_max_iters():
-            kmodel = fit_kernel(d, KernelSpec(kind="linear"), model.mode, hp)
-        assert kmodel.final_objective == 0.5 * training_objective_kernel(
-            d, G, kmodel.A, kmodel.b, model.mode, doubled
+            model = fit_linear(d, mode, hp)
+            spec = KernelSpec(kind="gaussian", sigma=1.0)
+            kmodel = fit_kernel(d, spec, mode, hp)
+        assert model.final_objective == training_objective(d, model.W, model.b, mode, hp)
+        assert kmodel.final_objective == training_objective_kernel(
+            d, gram(spec, d.features), kmodel.A, kmodel.b, mode, hp
         )
+        assert model.final_objective >= 0.0 and kmodel.final_objective >= 0.0
 
     def test_hinge_trace_and_diagnostics(self):
         rng = np.random.default_rng(17)
