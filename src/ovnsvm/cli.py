@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -324,18 +324,7 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_GRID_KEYS = {
-    "alphas",
-    "betas",
-    "gammas",
-    "sigmas",
-    "degrees",
-    "modes",
-    "kernel_kind",
-    "coef0",
-    "seed",
-    "n_folds",
-}
+_GRID_KEYS = {f.name for f in fields(GridSpec)}
 
 
 def _grid_from_doc(doc: dict, seed_override) -> GridSpec:
@@ -375,10 +364,7 @@ def _cmd_cv(args) -> int:
         except json.JSONDecodeError as e:
             raise ParseError(f"grid file {args.grid}: {e}") from None
     grid = _grid_from_doc(doc, args.seed)
-    n_jobs = max(1, int(os.environ.get("OVN_THREADS", "1")))
-    report = grid_search_cv(
-        data, grid, task=args.task, solver=args.solver, n_jobs=n_jobs
-    )
+    report = grid_search_cv(data, grid, task=args.task, solver=args.solver)
     feasible = sum(1 for t in report.tuples if t.feasible)
     print(f"cv: {len(report.tuples)} tuples, {feasible} feasible, "
           f"{report.n_folds} folds, seed {report.seed}")

@@ -56,6 +56,22 @@ UNSEEN_TOY_TEST_LABELS = (
 )
 
 
+def finite_features(X) -> np.ndarray:
+    """X as a float array; ValueError names its first non-finite cell.
+
+    No fit or score can use nan or inf: a fit fails in its solver and a
+    score comes out nan.
+    """
+    X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
+        cells = np.atleast_2d(X)
+        i, j = np.argwhere(~np.isfinite(cells))[0]
+        raise ValueError(
+            f"row {i + 1}, column {j + 1}: non-finite feature {float(cells[i, j])}"
+        )
+    return X
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix plus binary label matrix."""
@@ -70,6 +86,7 @@ class Dataset:
         labs = np.array(self.labels, copy=True)
         if feats.ndim != 2 or labs.ndim != 2:
             raise ValueError("features and labels must both be 2-D")
+        finite_features(feats)
         if feats.shape[0] != labs.shape[0]:
             raise ValueError(
                 f"row count mismatch: {feats.shape[0]} feature rows, "

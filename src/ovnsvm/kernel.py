@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .data import Dataset
+from .data import Dataset, finite_features
 from .kernels import KernelSpec, gram, gram_cross
 from .linear import (
     AssembledSystem,
@@ -79,7 +79,7 @@ class TrainedKernelModel:
         Rows are scored in blocks, so beyond the output one kernel block of
         N x (about _SCORE_BLOCK // N) values is held, however large T is.
         """
-        X = np.asarray(X, dtype=float)
+        X = finite_features(X)
         scores = np.empty((len(X), self.n_classes))
         step = 64 * max(1, _SCORE_BLOCK // (64 * self.n_train))
         # the last block takes the rest, so it is never a lone row unless X

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dpotrs, dtrtri
 
-from .data import Dataset, augment_rows
+from .data import Dataset, augment_rows, finite_features
 from .errors import HessianNotPD, MaxItersExceeded, SingularSystem
 from .majorization import DEFAULT_EPSILON, MMState, hinge, majorizer, z_update
 
@@ -149,7 +149,7 @@ class TrainedLinearModel:
 
     def decision_scores(self, X) -> np.ndarray:
         """Per-class scores w_k' x + b_k for every row of X, shape (T, K)."""
-        return np.asarray(X, dtype=float) @ self.W.T + self.b
+        return finite_features(X) @ self.W.T + self.b
 
 
 @dataclass

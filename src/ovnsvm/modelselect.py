@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,20 +81,7 @@ class CVReport:
             "best_mean_hamming": self.best_mean_hamming,
             "n_folds": self.n_folds,
             "seed": self.seed,
-            "tuples": [
-                {
-                    "params": t.params,
-                    "fold_accuracies": t.fold_accuracies,
-                    "fold_hammings": t.fold_hammings,
-                    "fold_iterations": t.fold_iterations,
-                    "fold_stop_reasons": t.fold_stop_reasons,
-                    "mean_accuracy": t.mean_accuracy,
-                    "mean_hamming": t.mean_hamming,
-                    "feasible": t.feasible,
-                    "error": t.error,
-                }
-                for t in self.tuples
-            ],
+            "tuples": [asdict(t) for t in self.tuples],
         }
 
 
@@ -170,12 +156,7 @@ def _evaluate_tuple(dataset, folds, params, grid, task, solver):
         result.mean_accuracy = float(np.mean(result.fold_accuracies))
         result.mean_hamming = float(np.mean(result.fold_hammings))
     except HessianNotPD as e:
-        result.feasible = False
-        result.error = f"HessianNotPD: {e}"
-        result.fold_accuracies = []
-        result.fold_hammings = []
-        result.fold_iterations = []
-        result.fold_stop_reasons = []
+        return TupleResult(params, feasible=False, error=f"HessianNotPD: {e}")
     return result
 
 
@@ -189,30 +170,25 @@ def grid_search_cv(
     """Cross-validated grid search; selection criterion is mean fold accuracy.
 
     Tuples whose reduced Hessian is indefinite are recorded as infeasible
-    and skipped.  Deterministic for fixed (dataset, grid) regardless of
-    ``n_jobs``: results are aggregated in enumeration order.
+    and skipped.  Every fit runs in turn in the calling process, in
+    enumeration order, so the report is deterministic for fixed
+    (dataset, grid).
+
+    ``n_jobs`` must be 1; any other value raises ``ValueError``.  It is
+    kept only for callers that still pass ``n_jobs=1`` and goes in the
+    next change to the benchmark harness.
     """
     if task not in ("multiclass", "multilabel"):
         raise ValueError(f"unknown task {task!r}")
     if solver not in ("linear", "kernel"):
         raise ValueError(f"unknown solver {solver!r}")
+    if n_jobs != 1:
+        raise ValueError(f"n_jobs must be 1, got {n_jobs!r}")
     folds = kfold_split(dataset.n_instances, grid.n_folds, grid.seed)
-    params_list = list(_enumerate_tuples(grid, solver))
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda p: _evaluate_tuple(dataset, folds, p, grid, task, solver),
-                    params_list,
-                )
-            )
-    else:
-        results = [
-            _evaluate_tuple(dataset, folds, p, grid, task, solver)
-            for p in params_list
-        ]
-
+    results = [
+        _evaluate_tuple(dataset, folds, p, grid, task, solver)
+        for p in _enumerate_tuples(grid, solver)
+    ]
     feasible = [r for r in results if r.feasible]
     if not feasible:
         raise AllTuplesInfeasible(

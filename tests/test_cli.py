@@ -1,6 +1,7 @@
 """Command line surface: pipelines, file formats, and exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -189,6 +190,36 @@ def test_cv_command_with_grid_file(tmp_path):
     assert code == 0
     doc = json.loads(report.read_text())
     assert len(doc["tuples"]) == 2
+
+
+def test_cv_grid_file_may_set_every_grid_field(tmp_path):
+    data = tmp_path / "train.csv"
+    run("synth", "--kind", "random_two_class", "--n-per-cluster", "12", "--out", str(data))
+    doc = {
+        "alphas": [0.5],
+        "betas": [10.0],
+        "gammas": [1.0],
+        "sigmas": [1.0],
+        "degrees": [2],
+        "modes": ["sw-hb"],
+        "kernel_kind": "gaussian",
+        "coef0": 1.0,
+        "seed": 3,
+        "n_folds": 2,
+    }
+    assert set(doc) == {f.name for f in dataclasses.fields(ovnsvm.GridSpec)}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    report = tmp_path / "cv.json"
+    argv = ("cv", "--data", str(data), "--grid", str(grid), "--solver", "kernel")
+    assert run(*argv, "--json-out", str(report)) == 0
+    out = json.loads(report.read_text())
+    assert (out["n_folds"], out["seed"]) == (2, 3)
+    assert out["best_tuple"] == {
+        "mode": "sw-hb", "alpha": 0.5, "beta": 10.0, "gamma": 1.0, "sigma": 1.0
+    }
+    grid.write_text(json.dumps({**doc, "n_jobs": 2}))
+    assert run(*argv) == 2
 
 
 def test_reproduce_unseen_passes(tmp_path, capsys):

@@ -80,6 +80,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="2-D"):
             Dataset([1.0, 2.0], [[1], [1]])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_rejected(self, value):
+        with pytest.raises(ValueError, match=r"row 2, column 1: non-finite"):
+            Dataset([[0.0, 0.0], [value, 1.0], [1.0, value]], [[1, 0], [0, 1], [0, 1]])
+
 
 def test_augment_appends_one():
     np.testing.assert_array_equal(augment([2.0, 3.0]), [2.0, 3.0, 1.0])

@@ -63,6 +63,16 @@ def test_feature_count_is_checked_for_no_rows():
         _model(SPECS[0]).decision_scores(np.zeros((0, M + 1)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_rows_are_rejected_before_scoring(value):
+    # the check runs before the first block, so the kernel never sees them
+    X = np.zeros((700, M))
+    X[650, 1] = value
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=r"row 651, column 2: non-finite"):
+            _model(SPECS[0]).decision_scores(X)
+
+
 def test_scoring_memory_stays_far_below_one_kernel_block_of_all_rows():
     model = _model(SPECS[0])
     X = np.random.default_rng(2).standard_normal((200_000, M))

@@ -568,6 +568,14 @@ class TestFit:
         assert model.decision_scores(np.zeros((4, 2))).shape == (4, 3)
         assert (model.n_classes, model.n_features) == (3, 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_decision_scores_reject_non_finite_rows(self, value):
+        rng = np.random.default_rng(29)
+        d = random_multilabel(rng, 8, 2, 3)
+        model = fit_linear(d, ConstraintMode("soft", "hard"), Hyperparameters())
+        with pytest.raises(ValueError, match=r"row 2, column 2: non-finite"):
+            model.decision_scores([[0.0, 1.0], [1.0, value]])
+
 
 class TestInteriorPointAnchor:
     """The interior-point iterate that the MM loop may re-anchor on."""

@@ -112,15 +112,15 @@ class TestGridSearch:
             assert len(t.fold_iterations) == 3 and min(t.fold_iterations) >= 1
             assert set(t.fold_stop_reasons) <= {"gap", "tol"}
 
-    def test_thread_count_does_not_change_the_result(self):
+    def test_n_jobs_accepts_only_one(self):
         rng = np.random.default_rng(1)
         d = random_multiclass(rng, 21, 2, 3)
         grid = tiny_grid()
-        serial = grid_search_cv(d, grid, task="multiclass", solver="linear")
-        threaded = grid_search_cv(
-            d, grid, task="multiclass", solver="linear", n_jobs=4
-        )
-        assert serial.as_dict() == threaded.as_dict()
+        default = grid_search_cv(d, grid, task="multiclass", solver="linear")
+        one = grid_search_cv(d, grid, task="multiclass", solver="linear", n_jobs=1)
+        assert default.as_dict() == one.as_dict()
+        with pytest.raises(ValueError, match="n_jobs"):
+            grid_search_cv(d, grid, task="multiclass", solver="linear", n_jobs=4)
 
     def test_kernel_solver_path(self):
         rng = np.random.default_rng(2)

@@ -1,6 +1,8 @@
 """The package's public names."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import ovnsvm
 
@@ -14,3 +16,28 @@ def test_the_halved_objective_is_not_exported():
     # fits report the minimized functional, training_objective, only
     assert not hasattr(ovnsvm, "objective")
     assert not hasattr(ovnsvm.linear, "objective")
+
+
+
+def test_no_module_reads_the_environment_or_starts_workers():
+    # BLAS threads are the only parallelism, and no setting of the package
+    # comes from an environment variable
+    pools = ("concurrent", "threading", "multiprocessing")
+    sources = sorted(Path(ovnsvm.__file__).parent.glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {n}"
+                for n in names
+                if n in ("os.environ", "os.getenv") or n.split(".")[0] in pools
+            ]
+    assert sources and found == []
