@@ -133,10 +133,11 @@ def assemble_kernel(
     """Build the kernel surrogate system for the current auxiliaries.
 
     This is the dense reference of the linear system on the rows of the
-    Gram factor R that ``fit_kernel`` solves by class blocks (on an edge
-    of the coupling window the fit adds a proximal term, see
-    :func:`ovnsvm.linear._minimize`).  ``hp.alpha``
-    plays the pairwise coupling role here.  Blocks are sized r + 1 for the
+    Gram factor R that ``fit_kernel`` solves by class blocks.  On an edge
+    of the coupling window the fit's blocks also carry a small proximal
+    term, which this system leaves out (see
+    :meth:`ovnsvm.linear._FixedParts.blocks`).  ``hp.alpha`` plays the
+    pairwise coupling role here.  Blocks are sized r + 1 for the
     rank r of the factor; the trailing coordinate of each block is the
     class bias.
     """
@@ -184,15 +185,15 @@ def fit_kernel(
     The fit is the linear fit (:func:`ovnsvm.linear._minimize`) on the
     rows of the pivoted Cholesky factor R of the Gram matrix, interior-point
     anchor included, so ``interior_point`` reports on the same method.  It
-    stops as that fit does, on the method's certificate ("gap"), the
-    surrogate change ("tol") or the cap ("cap"), as ``stop_reason`` says,
-    and returns the better of the last MM and interior-point iterates.  On
-    an edge of the coupling window the Gram factor usually leaves coupling
-    null directions without hinge curvature; the interior-point Newton
-    system is singular there, that method stops on its first step, and MM
-    carries on alone.  The coefficients A are the pivot patterns' part of
-    the same weights, so the model file and the scoring path are those of
-    a full kernel model.
+    stops as that fit does, on the method's certificate ("gap"), on a step
+    of the method that raised ("stall") or at the cap ("cap"), as
+    ``stop_reason`` says, and returns the better of the last MM and
+    interior-point iterates.  On an edge of the coupling window the Gram
+    factor usually leaves coupling null directions without hinge
+    curvature; the edge term of the linear fit keeps both the MM and the
+    Newton systems regular there.  The coefficients A are the pivot
+    patterns' part of the same weights, so the model file and the scoring
+    path are those of a full kernel model.
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, mode, hp)
@@ -205,20 +206,10 @@ def fit_kernel(
     A[:, pivots] = solve_triangular(L, run.w[:, :r].T, lower=True, trans="T").T
     b = run.w[:, r].copy()
     return TrainedKernelModel(
-        A=A,
-        b=b,
-        kernel=kernel,
-        train_features=dataset.features.copy(),
-        mode=mode,
+        A=A, b=b, kernel=kernel, train_features=dataset.features.copy(), mode=mode,
         hyperparameters=hp,
-        iterations_used=run.iterations,
         final_objective=training_objective_kernel(dataset, G, A, b, mode, hp),
-        kkt_residual=run.kkt_residual,
-        converged=run.converged,
-        surrogate_trace=run.surrogate_trace,
-        hinge_trace=run.hinge_trace,
-        interior_point=run.interior_point,
-        stop_reason=run.stop_reason,
+        **run.diagnostics(),
     )
 
 

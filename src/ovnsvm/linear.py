@@ -7,13 +7,13 @@ pairwise coupling between classes is either penalized (soft) or constrained
 
 Training alternates a KKT solve of the quadratic surrogate problem in the
 stacked augmented weights with the closed-form auxiliary update, taken at
-the doubled step or at the iterate of an interior-point method on the same
-problem when a safeguard allows (``_minimize``, which the kernel solver
-runs too).  Classes meet only through the sum of their weight
-vectors, so each solve takes one small Cholesky factor per class and one
-system in the shared sum (``_factor_blocks``); ``assemble`` and
-``solve_kkt`` keep the dense system as the reference.  The surrogate
-objective value never increases.
+the last solve or at the iterate of an interior-point method on the same
+problem, whichever bounds lower (``_minimize``, which the kernel solver
+runs too).  The fit ends on that method's certificate of the optimum.
+Classes meet only through the sum of their weight vectors, so each solve
+takes one small Cholesky factor per class and one system in the shared
+sum (``_factor_blocks``); ``assemble`` and ``solve_kkt`` keep the dense
+system as the reference.  The surrogate objective value never increases.
 
 The functional the solver minimizes, which ``training_objective``
 evaluates and every fit reports as ``final_objective``, is
@@ -33,7 +33,7 @@ eigenvalues >= 0, and there no term of F is negative.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -122,8 +122,9 @@ class TrainedLinearModel:
     ended: "converged after n steps", "stopped on <error> after n steps"
     or "running after n steps" at the iteration cap (see
     :func:`_minimize`).  ``stop_reason`` says why the fit stopped: "gap"
-    when that method certified the optimum, "tol" on the surrogate change,
-    "cap" at ``max_iters``.  A model loaded from a file has "" for both.
+    when that method certified the optimum, "stall" when its step raised,
+    "cap" at ``max_iters``; ``converged`` is False only at the cap.  A
+    model loaded from a file has "" for both strings.
     """
 
     W: np.ndarray
@@ -194,7 +195,8 @@ class _FixedParts:
     ``hard`` marks the coordinates whose sum over the classes is held at 0.
     ``flat = (f0, f1)`` names the projector f0 I + f1 11'/K onto the null
     space of a singular coupling, on an edge of the window, and is None
-    inside it.
+    inside it; there the curvature carries the edge term _EDGE_WEIGHT
+    (f0 I + f1 11'/K) (x) D.
 
     Every one of those cross-class terms acts through sum_k w_k, so the
     fit solves each surrogate by class blocks (:meth:`blocks`,
@@ -240,20 +242,21 @@ class _FixedParts:
         F_k = 2 (c0 D + S_k) with S_k = (beta/4) A_k' diag(1/z_k) A_k and
         shared = 2 C.  The coupling gives c0 = 1 - pair and C = pair diag(D),
         the bias sum adds gamma to C.  On an edge of the window the
-        proximal term ||w - w_a||^2 in E = (f0 I + f1 11'/K) (x) D is added:
-        f0 to c0, f1/K diag(D) to C (:meth:`curvature`), and 2 E w_a to rhs.
+        proximal term delta ||w - w_a||^2 in E = (f0 I + f1 11'/K) (x) D,
+        delta = _EDGE_WEIGHT, is added: delta f0 to c0 and delta f1/K diag(D)
+        to C (:meth:`curvature`), and 2 delta E w_a to rhs.
         """
         F, shared = self.curvature(z)
         h = self.beta / 2.0
         rhs = np.array([h * ((1.0 + 1.0 / z_k) @ A_k) for A_k, z_k in zip(self.rows, z)])
         if self.flat is not None:
             f0, f1 = self.flat
-            d = self.diagonal
+            d = _EDGE_WEIGHT * self.diagonal
             rhs += 2.0 * d * (f0 * w_a + (f1 / len(self.rows)) * w_a.sum(axis=0))
         return F, rhs, shared
 
-    def curvature(self, z, proximal=True):
-        """The (F, shared) of :meth:`blocks`; ``proximal`` keeps the term of an edge."""
+    def curvature(self, z):
+        """The (F, shared) of :meth:`blocks`, with the term of an edge."""
         K, P = len(self.rows), self.metric.shape[0]
         d = self.diagonal
         c0, C = 1.0 - self.pair, self.pair * d
@@ -262,9 +265,9 @@ class _FixedParts:
         h = self.beta / 2.0
         for k, (A_k, z_k) in enumerate(zip(self.rows, z)):
             np.matmul(A_k.T * (h * (1.0 / z_k)), A_k, out=F[k])
-        if proximal and self.flat is not None:
+        if self.flat is not None:
             f0, f1 = self.flat
-            c0, C = c0 + f0, C + (f1 / K) * d
+            c0, C = c0 + _EDGE_WEIGHT * f0, C + (_EDGE_WEIGHT * f1 / K) * d
         F.reshape(K, P * P)[:, :: P + 1] += 2.0 * c0 * d
         return F, 2.0 * C
 
@@ -293,6 +296,12 @@ class _FixedParts:
 # a coupling eigenvalue below this counts as zero, so that alpha = -2/(K-1),
 # whose rounding leaves 1e-16 at K = 50, is still an edge of the window
 _FLAT_COUPLING = 1e-8
+
+# the weight of the edge term in the MM and the interior-point blocks, a
+# primal regularization (Friedlander & Orban, Math. Prog. Comp. 2012).  On
+# a sweep of edge fits, 1e-2 let some run to hundreds of iterations, and
+# at 1e-4 and below more of them stopped on a singular shared system.
+_EDGE_WEIGHT = 1e-3
 
 
 def _linear_parts(X, sets, mode, hp, context="") -> _FixedParts:
@@ -583,13 +592,18 @@ def _validate_fit_inputs(sets, mode, hp):
 @dataclass
 class _MMRun:
     w: np.ndarray  # stacked augmented weights of the returned iterate, K x P
+    # the rest are the models' diagnostic fields, under the models' names
+    iterations_used: int
     kkt_residual: float
-    converged: bool
-    iterations: int
     surrogate_trace: list
     hinge_trace: list
     interior_point: str
-    stop_reason: str  # "gap", "tol" or "cap"
+    stop_reason: str  # "gap", "stall" or "cap"
+
+    def diagnostics(self) -> dict:
+        """The models' diagnostic fields, ``converged`` read off ``stop_reason``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        return dict(out, converged=self.stop_reason != "cap")
 
 
 def _to_boundary(xs, dxs, frac):
@@ -616,11 +630,15 @@ class _InteriorPoint:
         (2H + sum_k A_k' diag(d_k) A_k) dw + U dq = rhs,   d = 1/(s/lam + xi/nu),
 
     the surrogate's class blocks at z = (beta/2)(s/lam + xi/nu)
-    (:meth:`_FixedParts.curvature` without the proximal term of an edge),
-    so a step factors once and solves twice, for the predictor and the
-    corrector.  z is computed in that form, never as 1/d, and clamped at
-    epsilon, where the blocks would no longer factor; d = (beta/2)/z then
-    stays consistent with the matrix.  The start w = 0, xi = 2, s = 1,
+    (:meth:`_FixedParts.curvature`), so a step factors once and solves
+    twice, for the predictor and the corrector.  z is computed in that
+    form, never as 1/d, and clamped at epsilon, where the blocks would no
+    longer factor; d = (beta/2)/z then stays consistent with the matrix.
+    On an edge of the window the blocks carry the edge term, which keeps
+    the Newton system regular along the coupling's null directions (primal
+    regularization, Friedlander & Orban, Math. Prog. Comp. 2012).  No
+    right side goes with it and the stationarity test reads the true
+    residual, so convergence still certifies the fit's own problem.  The start w = 0, xi = 2, s = 1,
     lam = nu = beta/2 meets the primal equations, and the steps keep them,
     up to the clamp's shift of at most 2 epsilon/beta times the multiplier
     step, which the next step's residual takes back: xi >= hinge(u) to
@@ -653,12 +671,10 @@ class _InteriorPoint:
         return float(np.linalg.norm(self.r_w)) / max(1.0, self.dual_norm)
 
     def step(self) -> bool:
-        """Take one predictor-corrector step, unless the method has stopped.
+        """Take one predictor-corrector step.
 
         Returns True on the step at which the method converges.
         """
-        if self.outcome is not None:
-            return False
         try:
             self._step()
         except (HessianNotPD, SingularSystem) as e:
@@ -691,7 +707,7 @@ class _InteriorPoint:
         r_p = self.u + xi - 1.0 - s
         z = np.maximum((hp.beta / 2.0) * (s / lam + xi / nu), hp.epsilon)
         d = (hp.beta / 2.0) / z
-        F, shared = parts.curvature(np.split(z, parts.cuts), proximal=False)
+        F, shared = parts.curvature(np.split(z, parts.cuts))
         solve = _factor_blocks(F, shared, parts.hard, parts.note)
 
         def direction(r_lam, r_nu):
@@ -729,40 +745,33 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     O(P^3) flops against (K P)^3 / 3 for the dense factor.  A block that
     is not positive definite raises HessianNotPD naming its class;
     non-finite entries or a singular shared system raise SingularSystem.
-    The bound is then re-anchored among candidates: let h(w) be the
-    surrogate with every z tight at w, z = max(|1 - u|, epsilon).  The
-    candidates are w_t, the doubled step w_e = 2 w_t - w_{t-1} for t > 1,
-    and the iterate of an interior-point method on the same problem
-    (:class:`_InteriorPoint`), which takes one step per MM iteration.  The
-    auxiliaries are set from the candidate of least h; since w_t is one of
-    them, the next surrogate value is at most h(anchor) <= h(w_t) <= F_t,
-    so the trace does not rise.  Every candidate meets the hard constraints:
-    they are linear, the MM iterates meet them and the interior-point
-    steps keep them.  The interior-point method reaches the optimum in a
-    few dozen steps where MM alone slows down as the patterns close in on
-    the margin (its curvature 1/z grows); once it stops (``interior_point``
-    says how), its last iterate stays a candidate, and where its step
-    raises, MM carries on alone.
+    Beside it an interior-point method on the same problem
+    (:class:`_InteriorPoint`) takes one step per MM iteration.  The bound
+    is then re-anchored: let h(w) be the surrogate with every z tight at
+    w, z = max(|1 - u|, epsilon).  The auxiliaries are set at whichever of
+    w_t and the method's iterate has the lesser h, so the next surrogate
+    value is at most h(anchor) <= h(w_t) <= F_t and the trace does not
+    rise.  Both meet the hard constraints: the MM iterates meet them and
+    the interior-point steps keep them.
 
     On an edge of the coupling window the surrogate can be flat along
     coupling null directions (``parts.flat``) that the hinge terms do not
-    curve.  Each solve there adds ||w - w_a||^2 in flat (x) metric around
-    the point w_a where z is tight (w = 0 for the initial z = 1).  The sum
-    still majorizes the objective, is tight at w_a and has a positive
-    definite 2H, so the bound chain above holds.  The interior-point
-    Newton system has no such term and is singular there, so on those
-    edges the method stops on its first step.
+    curve.  Each solve there adds the proximal term of
+    :meth:`_FixedParts.blocks` around the point w_a where z is tight (w =
+    0 for the initial z = 1).  The sum still majorizes the objective, is
+    tight at w_a and has a positive definite 2H, so the bound chain above
+    holds; the interior-point Newton system carries the same term.
 
-    Stops as soon as the interior-point method converges, on its own
-    certificate of the QP optimum (gap and stationarity within ``hp.tol``,
-    ``stop_reason`` "gap"), or when the relative surrogate change drops
-    below ``hp.tol`` ("tol"); at ``hp.max_iters`` ("cap") the fit ends
-    with ``converged=False`` and a MaxItersExceeded warning.  At every stop
-    it returns whichever of the last MM iterate and the interior-point
-    iterate has the lower training functional reg(w) + beta sum hinge(u),
-    the MM iterate on a tie; ``kkt_residual`` is then the relative
-    residual of the last MM solve or the relative stationarity residual of
-    the interior-point iterate.  Both traces hold MM iterates only.
+    The fit ends on the interior-point method: once its certificate of
+    the QP optimum holds (gap and stationarity within ``hp.tol``,
+    ``stop_reason`` "gap"), or once its step raises HessianNotPD or
+    SingularSystem ("stall"); at ``hp.max_iters`` ("cap") it ends with a
+    MaxItersExceeded warning.  It returns whichever of the last MM iterate
+    and the interior-point iterate has the lower training functional
+    reg(w) + beta sum hinge(u), the MM iterate on a tie; ``kkt_residual``
+    is then the relative residual of the last MM solve or the relative
+    stationarity residual of the interior-point iterate.  Both traces
+    hold MM iterates only.
     """
     K, P = len(parts.rows), parts.metric.shape[0]
     beta, eps = hp.beta, hp.epsilon
@@ -773,8 +782,6 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
         return reg + beta * float(np.sum(majorizer(u, z_update(u, eps))))
 
     hinge_trace: list = []
-    prev_F = None
-    prev = None  # (w, u) of the previous solve
     w_a = np.zeros((K, P))  # the point at which the auxiliaries are tight
     stop_reason = "cap"
     iterations = hp.max_iters
@@ -786,34 +793,28 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
         F = reg + beta * float(np.sum(majorizer(u, np.concatenate(state.z))))
         state.objective_trace.append(F)
         hinge_trace.append(reg + beta * float(np.sum(hinge(u))))
-        if prev_F is not None and abs(F - prev_F) <= hp.tol * max(1.0, abs(prev_F)):
-            stop_reason, iterations = "tol", t
-            break
-        prev_F = F
         if ipm.step():
             stop_reason, iterations = "gap", t
             break
-        candidates = [(ipm.w, ipm.u)]
-        if prev is not None:
-            candidates.insert(0, (2.0 * w - prev[0], 2.0 * u - prev[1]))
-        anchor, w_a, best = u, w, tight(reg, u)
-        for w_c, u_c in candidates:
-            h_c = tight(parts.regularizer(w_c), u_c)
-            if h_c <= best:
-                anchor, w_a, best = u_c, w_c, h_c
-        prev = (w, u)
+        if ipm.outcome is not None:  # its step raised
+            stop_reason, iterations = "stall", t
+            break
+        if tight(parts.regularizer(ipm.w), ipm.u) <= tight(reg, u):
+            anchor, w_a = ipm.u, ipm.w
+        else:
+            anchor, w_a = u, w
         state.update(np.split(anchor, parts.cuts))
     if stop_reason == "cap":
         warnings.warn(
-            f"MM loop stopped at max_iters={hp.max_iters} before reaching tol",
+            f"fit stopped at max_iters={hp.max_iters} before the interior-point "
+            "certificate held",
             MaxItersExceeded,
             stacklevel=3,
         )
     if parts.regularizer(ipm.w) + beta * float(np.sum(hinge(ipm.u))) < hinge_trace[-1]:
         w, resid = ipm.w, ipm.residual
     return _MMRun(
-        w, resid, stop_reason != "cap", iterations, state.objective_trace, hinge_trace,
-        ipm.status(), stop_reason,
+        w, iterations, resid, state.objective_trace, hinge_trace, ipm.status(), stop_reason
     )
 
 
@@ -848,12 +849,12 @@ def fit_linear(
     Runs the shared MM iteration (see :func:`_minimize`), which re-anchors
     its bound on an interior-point iterate when that is the better anchor.
     It stops once that method certifies the optimum (``stop_reason``
-    "gap") or the relative surrogate change drops below ``hp.tol``
-    ("tol"), and returns the better of the last MM iterate and the
-    interior-point iterate by the training functional; the model's
-    ``interior_point`` says how the interior-point method ended.  If
-    ``hp.max_iters`` is reached first ("cap"), the better of the two is
-    returned with ``converged=False`` and a MaxItersExceeded warning.
+    "gap") or its step raises ("stall"), and returns the better of the
+    last MM iterate and the interior-point iterate by the training
+    functional; the model's ``interior_point`` says how the interior-point
+    method ended.  If ``hp.max_iters`` is reached first ("cap"), the better
+    of the two is returned with ``converged=False`` and a MaxItersExceeded
+    warning.
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, mode, hp)
@@ -861,16 +862,7 @@ def fit_linear(
     M = dataset.n_features
     W, b = run.w[:, :M].copy(), run.w[:, M].copy()
     return TrainedLinearModel(
-        W=W,
-        b=b,
-        mode=mode,
-        hyperparameters=hp,
-        iterations_used=run.iterations,
+        W=W, b=b, mode=mode, hyperparameters=hp,
         final_objective=training_objective(dataset, W, b, mode, hp),
-        kkt_residual=run.kkt_residual,
-        converged=run.converged,
-        surrogate_trace=run.surrogate_trace,
-        hinge_trace=run.hinge_trace,
-        interior_point=run.interior_point,
-        stop_reason=run.stop_reason,
+        **run.diagnostics(),
     )

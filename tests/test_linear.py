@@ -1,5 +1,6 @@
 """Linear solver: assembly, the constrained solve, and the fit loop."""
 
+import itertools
 import os
 import re
 import subprocess
@@ -35,7 +36,13 @@ from ovnsvm import (
     training_objective_kernel,
 )
 from ovnsvm.kernel import _kernel_parts
-from ovnsvm.linear import _factor_blocks, _InteriorPoint, _linear_parts, _to_boundary
+from ovnsvm.linear import (
+    _EDGE_WEIGHT,
+    _factor_blocks,
+    _InteriorPoint,
+    _linear_parts,
+    _to_boundary,
+)
 from ovnsvm.majorization import hinge
 from ovnsvm.oracle import subgradient_fit
 
@@ -332,7 +339,7 @@ class TestBlockSolve:
         if parts.flat is not None:
             # the proximal term that the fit adds on an edge of the window
             f0, f1 = parts.flat
-            E = np.kron(f0 * np.eye(K) + f1 * np.full((K, K), 1.0 / K), parts.metric)
+            E = _EDGE_WEIGHT * np.kron(f0 * np.eye(K) + f1 * np.full((K, K), 1.0 / K), parts.metric)
             H, rhs = H + E, rhs + 2.0 * (E @ w_a.ravel())
         ref = solve_kkt(AssembledSystem(H, rhs, dense.constraint_matrix))
         _assert_same_solution(_block_solve(parts, z, w_a), ref)
@@ -601,17 +608,50 @@ class TestInteriorPointAnchor:
                 model = fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp)
         assert np.all(np.isfinite(model.surrogate_trace))
 
-    @pytest.mark.parametrize("alpha, error", [(2.0, "HessianNotPD"), (-1.0, "SingularSystem")])
+    @pytest.mark.parametrize("alpha", [2.0, -1.0])
     @pytest.mark.parametrize("token", ["sw-hb", "sw-sb"])
-    def test_a_step_that_raises_is_reported_and_mm_carries_on(self, alpha, error, token):
+    def test_edge_fits_end_on_the_certificate(self, alpha, token):
         # on an edge of the window the Gram factor leaves coupling null
-        # directions without curvature: the blocks (alpha = 2) or the shared
-        # system in the class sum (alpha = -1) of the Newton system is singular
+        # directions without hinge curvature; without the edge term the
+        # blocks (alpha = 2) or the shared system in the class sum (alpha =
+        # -1) of the Newton system would be singular
         d = random_multiclass(np.random.default_rng(0), 40, 3, 3)
         model = fit_kernel(d, KernelSpec(kind="gaussian"), ConstraintMode.from_token(token),
                            Hyperparameters(alpha=alpha))
-        assert model.interior_point == f"stopped on {error} after 0 steps"
-        assert model.converged
+        assert model.stop_reason == "gap"
+        assert model.interior_point == f"converged after {model.iterations_used} steps"
+
+    @pytest.mark.parametrize("token", ["sw-hb", "sw-sb"])
+    def test_a_step_that_raises_stalls_the_fit_at_its_best_iterate(self, token):
+        # at the lower edge and a tolerance near rounding the shared system
+        # of the Newton blocks turns singular close to the optimum, 0 here
+        d = random_multiclass(np.random.default_rng(0), 40, 3, 3)
+        mode, hp = ConstraintMode.from_token(token), Hyperparameters(alpha=-1.0, tol=1e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MaxItersExceeded)
+            model = fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp)
+        assert model.stop_reason == "stall" and model.converged
+        assert re.fullmatch(r"stopped on SingularSystem after \d+ steps", model.interior_point)
+        assert model.iterations_used <= 10
+        assert 0.0 <= model.final_objective <= 1e-20
+
+    @pytest.mark.parametrize("solver", ["linear", "gaussian"])
+    @pytest.mark.parametrize("K", [2, 3, 5, 10])
+    def test_window_edges_end_on_the_certificate(self, solver, K):
+        # both edges, both soft-w modes and three draws: the edge term keeps
+        # the Newton system regular, and the method certifies every fit
+        for alpha, token, seed in itertools.product(
+            (2.0, -2.0 / (K - 1)), ("sw-sb", "sw-hb"), range(3)
+        ):
+            mode, hp = ConstraintMode.from_token(token), Hyperparameters(alpha=alpha)
+            if solver == "linear":
+                d = random_multiclass(np.random.default_rng(seed), 3 * K, 12, K)
+                model = fit_linear(d, mode, hp)
+            else:
+                d = random_multiclass(np.random.default_rng(seed), 40, 3, K)
+                model = fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp)
+            assert model.stop_reason == "gap", (alpha, token, seed)
+            assert model.iterations_used <= 20, (alpha, token, seed)
 
     def test_status_reads_converged_or_running_at_the_cap(self):
         d = _planted_multilabel(np.random.default_rng(0), 300)

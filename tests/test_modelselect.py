@@ -110,7 +110,7 @@ class TestGridSearch:
             assert row["fold_iterations"] == t.fold_iterations
             assert row["fold_stop_reasons"] == t.fold_stop_reasons
             assert len(t.fold_iterations) == 3 and min(t.fold_iterations) >= 1
-            assert set(t.fold_stop_reasons) <= {"gap", "tol"}
+            assert set(t.fold_stop_reasons) == {"gap"}
 
     def test_n_jobs_accepts_only_one(self):
         rng = np.random.default_rng(1)
