@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .data import Dataset, finite_features
-from .kernels import KernelSpec, gram, gram_cross
+from .errors import DimensionMismatch
+from .kernels import KernelSpec, _finish, _lift, _origin, gram
 from .linear import (
     AssembledSystem,
     ConstraintMode,
@@ -78,16 +79,25 @@ class TrainedKernelModel:
 
         Rows are scored in blocks, so beyond the output one kernel block of
         N x (about _SCORE_BLOCK // N) values is held, however large T is.
+        Training rows whose column of A is zero are left out of the blocks.
         """
         X = finite_features(X)
+        if X.shape[1:] != self.train_features.shape[1:]:
+            raise DimensionMismatch(
+                f"rows of shape {X.shape} for a model of {self.train_features.shape[1]} features"
+            )
+        keep = np.flatnonzero(self.A.any(axis=0))
+        origin = _origin(self.train_features)
+        left = _lift(self.kernel, self.train_features[keep], origin, True)
+        A = np.take(self.A, keep, axis=1)  # row-major as A is, so it rounds alike
         scores = np.empty((len(X), self.n_classes))
         step = 64 * max(1, _SCORE_BLOCK // (64 * self.n_train))
-        # the last block takes the rest, so it is never a lone row unless X
-        # is, and there is one block even for no rows, to check X's width
+        # the last block takes the rest, so it is never a lone row unless X is
         bounds = [0, *range(step, len(X) - 1, step), len(X)]
         for start, stop in zip(bounds, bounds[1:]):
-            cross = gram_cross(self.kernel, self.train_features, X[start:stop])
-            np.matmul(cross.T, self.A.T, out=scores[start:stop])
+            right = _lift(self.kernel, X[start:stop], origin, False)
+            cross = _finish(self.kernel, left @ right)
+            np.matmul(cross.T, A.T, out=scores[start:stop])
         scores += self.b
         return scores
 

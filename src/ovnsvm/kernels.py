@@ -28,35 +28,49 @@ class KernelSpec:
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Single kernel value k(x, y)."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"operand lengths {x.size} and {y.size} differ")
-    if spec.kind == "linear":
-        return float(x @ y)
-    if spec.kind == "polynomial":
-        return float((x @ y + spec.coef0) ** spec.degree)
-    d = x - y
-    return float(np.exp(-(d @ d) / (2.0 * spec.sigma**2)))
+    """Single kernel value k(x, y), the 1 x 1 block of :func:`gram_cross`.
+
+    That block is centred on x, so a gaussian value is computed from the
+    difference y - x.
+    """
+    return float(gram_cross(spec, np.ravel(x)[None], np.ravel(y)[None])[0, 0])
 
 
-def _pairwise(spec: KernelSpec, A, B):
-    # kernel block between row sets A and B, finished in place in the buffer
-    # of A @ B.T by the IEEE operations of the textbook formula, in its order
-    block = A @ B.T
-    if spec.kind == "linear":
-        return block
+def _lift(spec: KernelSpec, X, origin, left: bool):
+    # the left factor (rows of X) or the right factor (columns) of the
+    # kernel's inner block, left @ right.  For the gaussian, with c = x - origin
+    # and h = |c|^2 / 2 sigma^2, the left rows [c / sigma^2, -h, -1] and the
+    # right columns [c; 1; h] give c'c_t / sigma^2 - h - h_t = -|x - t|^2 / 2 sigma^2;
+    # centring keeps these terms small when the features sit far from the origin
+    if spec.kind != "gaussian":
+        return X if left else X.T
+    s2 = spec.sigma**2
+    M = X.shape[1]
+    lifted = np.empty((M + 2, len(X)))
+    c = np.subtract(X.T, origin[:, None], out=lifted[:M])
+    h = np.einsum("ij,ij->j", c, c) / (2.0 * s2)
+    if not left:
+        lifted[M], lifted[M + 1] = 1.0, h
+        return lifted
+    c /= s2
+    lifted[M], lifted[M + 1] = -h, -1.0
+    return np.ascontiguousarray(lifted.T)
+
+
+def _origin(X):
+    # the centre of lifted blocks: the mean of the training rows, 0 for none
+    return X.sum(axis=0) / max(len(X), 1)
+
+
+def _finish(spec: KernelSpec, block):
+    # the kernel values from the inner block, in place
     if spec.kind == "polynomial":
         block += spec.coef0
         block **= spec.degree
-        return block
-    block *= -2.0
-    block += np.sum(A * A, axis=1)[:, None]
-    block += np.sum(B * B, axis=1)[None, :]
-    np.maximum(block, 0.0, out=block)  # cancellation can leave tiny negatives
-    np.divide(block, -(2.0 * spec.sigma**2), out=block)
-    return np.exp(block, out=block)
+    elif spec.kind == "gaussian":
+        np.minimum(block, 0.0, out=block)  # cancellation can leave tiny positives
+        np.exp(block, out=block)
+    return block
 
 
 def gram(spec: KernelSpec, X) -> np.ndarray:
@@ -68,18 +82,25 @@ def gram(spec: KernelSpec, X) -> np.ndarray:
     the kernel fit's rank-revealing factor handles.
     """
     X = np.asarray(X, dtype=float)
-    V = _pairwise(spec, X, X)
-    for i in range(1, V.shape[0]):
-        V[i, :i] = V[:i, i]
+    origin = _origin(X)
+    V = _finish(spec, _lift(spec, X, origin, True) @ _lift(spec, X, origin, False))
+    lower = np.tril_indices(len(V), -1)
+    V[lower] = V.T[lower]
     return V
 
 
 def gram_cross(spec: KernelSpec, X_train, X_test) -> np.ndarray:
-    """Kernel block between training rows and test rows, shape N x T."""
+    """Kernel block between training rows and test rows, shape N x T.
+
+    A gaussian block is centred on the mean of the training rows.
+    """
     X_train = np.asarray(X_train, dtype=float)
     X_test = np.asarray(X_test, dtype=float)
     if X_train.shape[1] != X_test.shape[1]:
         raise DimensionMismatch(
             f"feature counts differ: {X_train.shape[1]} vs {X_test.shape[1]}"
         )
-    return _pairwise(spec, X_train, X_test)
+    origin = _origin(X_train)
+    return _finish(
+        spec, _lift(spec, X_train, origin, True) @ _lift(spec, X_test, origin, False)
+    )

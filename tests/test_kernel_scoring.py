@@ -58,6 +58,29 @@ def test_scores_equal_the_single_block_product(spec, T):
     assert np.array_equal(got, whole)
 
 
+def test_zero_columns_of_A_are_left_out_of_the_scores():
+    spec = SPECS[0]
+    model = _model(spec)
+    model.A[:, ::7] = 0.0
+    X = 3.0 * np.random.default_rng(3).standard_normal((1000, M))
+    whole = gram_cross(spec, model.train_features, X).T @ model.A.T + model.b
+    np.testing.assert_allclose(model.decision_scores(X), whole, rtol=0, atol=1e-13)
+    model.A[:] = 0.0
+    assert np.array_equal(model.decision_scores(X), np.broadcast_to(model.b, whole.shape))
+
+
+@pytest.mark.parametrize("distance", [1e3, 1e6])
+def test_rows_far_from_the_training_data_score_the_biases(distance):
+    # every kernel value underflows to 0; the lifted exponent is a large
+    # negative number, so nothing overflows and no inf * 0 makes a nan
+    model = _model(SPECS[0])
+    X = model.train_features[:50] + distance
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        scores = model.decision_scores(X)
+    assert not np.isnan(scores).any()
+    assert np.array_equal(scores, np.broadcast_to(model.b, scores.shape))
+
+
 def test_feature_count_is_checked_for_no_rows():
     with pytest.raises(DimensionMismatch):
         _model(SPECS[0]).decision_scores(np.zeros((0, M + 1)))

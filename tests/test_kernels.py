@@ -87,38 +87,78 @@ def test_gram_cross_matches_eval_and_shape():
             assert C[i, j] == pytest.approx(kernel_eval(GAUSS, A[i], B[j]))
 
 
+@pytest.mark.parametrize("spec", [LINEAR, GAUSS, POLY], ids=lambda s: s.kind)
+def test_no_training_rows_give_empty_blocks(spec):
+    assert gram(spec, np.zeros((0, 2))).shape == (0, 0)
+    assert gram_cross(spec, np.zeros((0, 2)), np.ones((3, 2))).shape == (0, 3)
+
+
 def test_gram_cross_feature_mismatch():
     with pytest.raises(DimensionMismatch):
         gram_cross(LINEAR, np.ones((2, 3)), np.ones((2, 4)))
 
 
 def _textbook_pairwise(spec, A, B):
-    # the kernel block as three fresh temporaries; the in-place block must
-    # reproduce it bit for bit
+    # the linear and polynomial blocks as fresh temporaries; the in-place
+    # block must reproduce them bit for bit
     inner = A @ B.T
     if spec.kind == "linear":
         return inner
-    if spec.kind == "polynomial":
-        return (inner + spec.coef0) ** spec.degree
-    sq = np.sum(A * A, axis=1)[:, None] - 2.0 * inner + np.sum(B * B, axis=1)[None, :]
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.sigma**2))
+    return (inner + spec.coef0) ** spec.degree
 
 
-BIT_SPECS = (
-    [KernelSpec(kind="gaussian", sigma=s) for s in (0.3, 0.8, 1.7, 3.3)]
-    + [KernelSpec(kind="polynomial", degree=d, coef0=c) for d in (1, 2, 3) for c in (0.5, 1.0)]
-    + [LINEAR]
-)
+def _difference_form(spec, A, B):
+    # the gaussian block from explicit differences x - t
+    d = A[:, None, :] - B[None, :, :]
+    return np.exp(-np.sum(d * d, axis=2) / (2.0 * spec.sigma**2))
+
+
+GAUSS_SPECS = [KernelSpec(kind="gaussian", sigma=s) for s in (0.3, 0.8, 1.7, 3.3)]
+BIT_SPECS = [
+    KernelSpec(kind="polynomial", degree=d, coef0=c) for d in (1, 2, 3) for c in (0.5, 1.0)
+] + [LINEAR]
+SHAPES = [(90, 1500, 2), (37, 200, 5), (1, 3, 1), (130, 0, 4)]
 
 
 @pytest.mark.parametrize("spec", BIT_SPECS, ids=repr)
 def test_blocks_are_bit_identical_to_the_textbook_formula(spec):
     rng = np.random.default_rng(7)
-    for n, t, m in [(90, 1500, 2), (37, 200, 5), (1, 3, 1), (130, 0, 4)]:
+    for n, t, m in SHAPES:
         X = 2.5 * rng.standard_normal((n, m))
         Y = 2.5 * rng.standard_normal((t, m))
         V = _textbook_pairwise(spec, X, X)
         V = np.triu(V) + np.triu(V, 1).T
         assert np.array_equal(gram(spec, X), V)
         assert np.array_equal(gram_cross(spec, X, Y), _textbook_pairwise(spec, X, Y))
+
+
+@pytest.mark.parametrize("spec", GAUSS_SPECS, ids=repr)
+def test_gaussian_blocks_match_the_difference_form(spec):
+    # the lifted exponent is a sum of terms up to h = |x - mean|^2 / 2 sigma^2,
+    # so it is good to a few ulps of the largest h (2.3e-13 at sigma 0.3 here)
+    rng = np.random.default_rng(7)
+    for n, t, m in SHAPES:
+        X = 2.5 * rng.standard_normal((n, m))
+        Y = 2.5 * rng.standard_normal((t, m))
+        c = np.vstack([X, Y]) - X.mean(axis=0)
+        h = np.max(np.sum(c * c, axis=1)) / (2.0 * spec.sigma**2)
+        tol = 8 * np.finfo(float).eps * max(1.0, h)
+        G = gram(spec, X)
+        assert np.array_equal(G, G.T)
+        assert np.all(np.diag(G) >= 1.0 - tol) and np.all(np.diag(G) <= 1.0)
+        np.testing.assert_allclose(G, _difference_form(spec, X, X), rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            gram_cross(spec, X, Y), _difference_form(spec, X, Y), rtol=0, atol=tol
+        )
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+def test_gaussian_blocks_keep_their_precision_far_from_the_origin(offset):
+    spec = KernelSpec(kind="gaussian", sigma=0.5)
+    rng = np.random.default_rng(11)
+    X = offset + rng.standard_normal((60, 3))
+    Y = offset + rng.standard_normal((80, 3))
+    np.testing.assert_allclose(gram(spec, X), _difference_form(spec, X, X), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        gram_cross(spec, X, Y), _difference_form(spec, X, Y), rtol=0, atol=1e-13
+    )
