@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dpotrs, dtrtri
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dtrtri
 
 from .data import Dataset, augment_rows, finite_features
 from .errors import HessianNotPD, MaxItersExceeded, SingularSystem
@@ -216,8 +216,8 @@ class _FixedParts:
     def __post_init__(self):
         self.spectrum = _coupling_spectrum(self.pair, len(self.rows))
         self.diagonal = np.diag(self.metric)
-        # class boundaries in the flat projections
-        self.cuts = np.cumsum([A_k.shape[0] for A_k in self.rows])[:-1]
+        ends = np.cumsum([0] + [A_k.shape[0] for A_k in self.rows]).tolist()
+        self.slices = [slice(a, b) for a, b in zip(ends, ends[1:])]  # each class's projections
 
     def system(self, z) -> AssembledSystem:
         """The dense reference system at the auxiliaries ``z``, one array per class."""
@@ -290,7 +290,7 @@ class _FixedParts:
 
     def transpose_project(self, v) -> np.ndarray:
         """A_k' v_k for every class, K x P, for v laid out as :meth:`project`'s."""
-        return np.array([v_k @ A_k for A_k, v_k in zip(self.rows, np.split(v, self.cuts))])
+        return np.array([v[c] @ A_k for A_k, c in zip(self.rows, self.slices)])
 
 
 # a coupling eigenvalue below this counts as zero, so that alpha = -2/(K-1),
@@ -453,18 +453,18 @@ def _factor_blocks(F, shared, hard, note):
         (diag(1 - hard) + diag(hard + shared) Sigma) q = (hard + shared) * xbar
 
     with Sigma = sum_k F_k^-1 and xbar = sum_k F_k^-1 rhs_k.  That is K
-    Cholesky factors of order P and one LU factor of order P in place of
-    the Cholesky factor of order K P.  Refinement rounds on the residual of
-    the full KKT system are kept only when it drops, as in
-    :func:`_solve_reduced`.  ``F`` is (K, P, P); returns ``solve(rhs)``,
-    which gives (w as K x P, q, relative KKT residual) for the (K, P) right
-    side ``rhs``, so the multipliers are ``q[hard]``.  Non-finite entries in
-    the blocks or in a right side raise SingularSystem.
+    Cholesky factors of order P, inverted, and one LU factor of order P in
+    place of the Cholesky factor of order K P.  ``F`` is (K, P, P); returns
+    (solve, refined).  ``solve(rhs)`` gives (w as K x P, q) for the (K, P)
+    right side ``rhs``, so the multipliers are ``q[hard]``; Newton
+    directions take it as it is.  ``refined(rhs)``, for the MM solve, adds
+    refinement rounds on the full KKT residual, kept only when it drops as
+    in :func:`_solve_reduced`, and returns (w, q, relative KKT residual).
+    Non-finite entries in the blocks or in a right side raise SingularSystem.
     """
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(shared))):
         raise SingularSystem("assembled system contains non-finite entries")
     K, P = F.shape[:2]
-    factors = []
     low_inv = np.empty((K, P, P))  # the L_k^-1 of F_k = L_k L_k'
     for k in range(K):
         # the blocks are symmetric, so F[k].T is the same block in the
@@ -473,7 +473,6 @@ def _factor_blocks(F, shared, hard, note):
         if info:
             raise HessianNotPD(f"the block of class {k} is not positive definite ({note})")
         low_inv[k] = dtrtri(c, lower=1)[0]
-        factors.append(c)
     # F_k^-1 = L_k^-T L_k^-1; dpotri would give the same, but its result
     # depends on the BLAS thread count
     inv = np.matmul(low_inv.transpose(0, 2, 1), low_inv)
@@ -486,18 +485,17 @@ def _factor_blocks(F, shared, hard, note):
     if info or dgecon(lu, float(np.max(np.sum(np.abs(B), axis=0))))[0] < np.finfo(float).eps:
         raise SingularSystem(f"the shared system of the class blocks is singular ({note})")
 
-    def solve(r, g):
+    def solve(r, g=0.0):
         # the solution for right side r and held sums g.  The shared term
         # goes through the same inverses that Sigma sums, so the held sums
         # of w match g to rounding, not to the blocks' condition number.
-        x = np.array([dpotrs(c, r_k, lower=1)[0] for c, r_k in zip(factors, r)])
+        if not np.all(np.isfinite(r)):
+            raise SingularSystem("assembled system contains non-finite entries")
+        x = np.matmul(inv, r[:, :, None])[:, :, 0]
         q = dgetrs(lu, piv, mix * x.sum(axis=0) - hard * g)[0]
         return x - inv @ q, q
 
     def refined(rhs):
-        if not np.all(np.isfinite(rhs)):
-            raise SingularSystem("assembled system contains non-finite entries")
-
         def residual(w, q):
             s = w.sum(axis=0)
             r1 = rhs - np.matmul(F, w[:, :, None])[:, :, 0] - shared * s - hard * q
@@ -505,7 +503,7 @@ def _factor_blocks(F, shared, hard, note):
             return r1, g, float(np.sqrt(np.sum(r1 * r1) + np.sum(g * g)))
 
         denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-        w, q = solve(rhs, np.zeros(P))
+        w, q = solve(rhs)
         r1, g, best_r = residual(w, q)
         for _ in range(4):
             if best_r <= 1e-15 * denom:
@@ -517,7 +515,7 @@ def _factor_blocks(F, shared, hard, note):
             w, q, r1, g, best_r = w + dw, q + dq, c1, cg, cand_r
         return w, q, best_r / denom
 
-    return refined
+    return solve, refined
 
 
 def _coupling_spectrum(pair, K):
@@ -609,10 +607,12 @@ class _MMRun:
 def _to_boundary(xs, dxs, frac):
     """frac times the longest step that keeps every x + a dx >= 0, at most 1."""
     a = 1.0
-    # the quotients where dx >= 0 (inf or nan at dx = 0) are masked out
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # every x > 0: the least dx / x (-inf on overflow) limits a if its dx < 0
+    with np.errstate(over="ignore"):
         for x, dx in zip(xs, dxs):
-            a = min(a, frac * float(np.min(np.where(dx < 0.0, x / -dx, np.inf))))
+            j = np.argmin(dx / x)
+            if dx[j] < 0.0:
+                a = min(a, frac * float(x[j] / -dx[j]))
     return a
 
 
@@ -630,20 +630,22 @@ class _InteriorPoint:
         (2H + sum_k A_k' diag(d_k) A_k) dw + U dq = rhs,   d = 1/(s/lam + xi/nu),
 
     the surrogate's class blocks at z = (beta/2)(s/lam + xi/nu)
-    (:meth:`_FixedParts.curvature`), so a step factors once and solves
-    twice, for the predictor and the corrector.  z is computed in that
-    form, never as 1/d, and clamped at epsilon, where the blocks would no
-    longer factor; d = (beta/2)/z then stays consistent with the matrix.
-    On an edge of the window the blocks carry the edge term, which keeps
-    the Newton system regular along the coupling's null directions (primal
-    regularization, Friedlander & Orban, Math. Prog. Comp. 2012).  No
-    right side goes with it and the stationarity test reads the true
-    residual, so convergence still certifies the fit's own problem.  The start w = 0, xi = 2, s = 1,
-    lam = nu = beta/2 meets the primal equations, and the steps keep them,
-    up to the clamp's shift of at most 2 epsilon/beta times the multiplier
-    step, which the next step's residual takes back: xi >= hinge(u) to
-    that precision.  Every step keeps the held sums, so the iterate meets
-    them to rounding and is a valid MM anchor.
+    (:meth:`_FixedParts.curvature`), so a step factors once and solves twice,
+    unrefined, for the predictor and the corrector: the stop test reads true
+    residuals, and inexact directions keep the method's convergence (Gondzio,
+    SIAM J. Optim. 2013).  z is computed in that form, never as 1/d, and
+    clamped at epsilon, where the blocks would no longer factor;
+    d = (beta/2)/z then stays consistent with the matrix.  On an edge of the
+    window the blocks carry the edge term, which keeps the Newton system
+    regular along the coupling's null directions (primal regularization,
+    Friedlander & Orban, Math. Prog. Comp. 2012).  No right side goes with
+    it and the stationarity test reads the true residual, so convergence
+    still certifies the fit's own problem.  The start w = 0, xi = 2, s = 1,
+    lam = nu = beta/2 meets the primal equations, and the steps keep them, up
+    to the clamp's shift of at most 2 epsilon/beta times the multiplier step,
+    which the next step's residual takes back: xi >= hinge(u) to that
+    precision.  Every step keeps the held sums, so the iterate meets them to
+    rounding and is a valid MM anchor.
 
     The method stops stepping once the gap lam's + nu'xi is at most
     ``hp.tol`` max(1, |reg(w) + beta 1'xi|) and the stationarity residual
@@ -678,6 +680,8 @@ class _InteriorPoint:
         try:
             self._step()
         except (HessianNotPD, SingularSystem) as e:
+            if not self.steps:
+                raise  # the fit has no iterate to fall back on
             self.outcome = f"stopped on {type(e).__name__} after {self.steps} steps"
             return False
         self.steps += 1
@@ -707,14 +711,14 @@ class _InteriorPoint:
         r_p = self.u + xi - 1.0 - s
         z = np.maximum((hp.beta / 2.0) * (s / lam + xi / nu), hp.epsilon)
         d = (hp.beta / 2.0) / z
-        F, shared = parts.curvature(np.split(z, parts.cuts))
-        solve = _factor_blocks(F, shared, parts.hard, parts.note)
+        F, shared = parts.curvature([z[c] for c in parts.slices])
+        solve, _ = _factor_blocks(F, shared, parts.hard, parts.note)
 
         def direction(r_lam, r_nu):
             # the Newton step with complementarity rows s dlam + lam ds = -r_lam
             # and xi dnu + nu dxi = -r_nu
             g = (r_nu + xi * r_xi) / nu - r_lam / lam - r_p
-            dw, dq, _ = solve(parts.transpose_project(d * g) - r_w)
+            dw, dq = solve(parts.transpose_project(d * g) - r_w)
             dlam = d * (g - parts.project(dw))
             dnu = r_xi - dlam
             return dw, dq, -(r_nu + xi * dnu) / nu, -(r_lam + s * dlam) / lam, dlam, dnu
@@ -739,16 +743,16 @@ class _InteriorPoint:
 def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     """The MM iteration shared by the linear and the kernel solver.
 
-    Each KKT solve gives w_t, the minimizer of the surrogate at the current
-    auxiliaries, by class blocks (:func:`_factor_blocks`): K Cholesky
-    factors of order P and one P x P system in the class sum, K P^3 +
-    O(P^3) flops against (K P)^3 / 3 for the dense factor.  A block that
-    is not positive definite raises HessianNotPD naming its class;
-    non-finite entries or a singular shared system raise SingularSystem.
-    Beside it an interior-point method on the same problem
-    (:class:`_InteriorPoint`) takes one step per MM iteration.  The bound
-    is then re-anchored: let h(w) be the surrogate with every z tight at
-    w, z = max(|1 - u|, epsilon).  The auxiliaries are set at whichever of
+    Each iteration first takes one step of an interior-point method on the
+    same problem (:class:`_InteriorPoint`).  Then a refined KKT solve gives
+    w_t, the minimizer of the surrogate at the current auxiliaries, by
+    class blocks (:func:`_factor_blocks`): K Cholesky factors of order P
+    and one P x P system in the class sum, K P^3 + O(P^3) flops against
+    (K P)^3 / 3 for the dense factor.  A block that is not positive
+    definite raises HessianNotPD naming its class; non-finite entries or a
+    singular shared system raise SingularSystem.  The bound is then
+    re-anchored: let h(w) be the surrogate with every z tight at w,
+    z = max(|1 - u|, epsilon).  The auxiliaries are set at whichever of
     w_t and the method's iterate has the lesser h, so the next surrogate
     value is at most h(anchor) <= h(w_t) <= F_t and the trace does not
     rise.  Both meet the hard constraints: the MM iterates meet them and
@@ -762,18 +766,18 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
     tight at w_a and has a positive definite 2H, so the bound chain above
     holds; the interior-point Newton system carries the same term.
 
-    The fit ends on the interior-point method: once its certificate of
-    the QP optimum holds (gap and stationarity within ``hp.tol``,
-    ``stop_reason`` "gap"), or once its step raises HessianNotPD or
-    SingularSystem ("stall"); at ``hp.max_iters`` ("cap") it ends with a
+    The fit ends on the interior-point method, before the MM solve of that
+    iteration: on its certificate of the QP optimum (gap and stationarity
+    within ``hp.tol``, ``stop_reason`` "gap") or on its step raising
+    HessianNotPD or SingularSystem ("stall"; a raise on the first step
+    propagates).  At ``hp.max_iters`` ("cap") it ends with a
     MaxItersExceeded warning.  It returns whichever of the last MM iterate
-    and the interior-point iterate has the lower training functional
-    reg(w) + beta sum hinge(u), the MM iterate on a tie; ``kkt_residual``
-    is then the relative residual of the last MM solve or the relative
-    stationarity residual of the interior-point iterate.  Both traces
-    hold MM iterates only.
+    and the method's iterate has the lower training functional reg(w) +
+    beta sum hinge(u), the MM iterate on a tie, with ``kkt_residual`` the
+    relative residual of that MM solve or the method's relative
+    stationarity residual.  The traces hold MM iterates only:
+    ``iterations_used - 1`` of them, or ``iterations_used`` at the cap.
     """
-    K, P = len(parts.rows), parts.metric.shape[0]
     beta, eps = hp.beta, hp.epsilon
     state = MMState.fresh([A_k.shape[0] for A_k in parts.rows], eps)
     ipm = _InteriorPoint(parts, hp)
@@ -782,28 +786,28 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
         return reg + beta * float(np.sum(majorizer(u, z_update(u, eps))))
 
     hinge_trace: list = []
-    w_a = np.zeros((K, P))  # the point at which the auxiliaries are tight
-    stop_reason = "cap"
-    iterations = hp.max_iters
+    w_a = np.zeros_like(ipm.w)  # the point at which the auxiliaries are tight
+    stop_reason, iterations = "cap", hp.max_iters
     for t in range(1, hp.max_iters + 1):  # Hyperparameters keeps max_iters >= 1
-        blocks, rhs, shared = parts.blocks(state.z, w_a)
-        w, _, resid = _factor_blocks(blocks, shared, parts.hard, parts.note)(rhs)
-        u = parts.project(w)
-        reg = parts.regularizer(w)
-        F = reg + beta * float(np.sum(majorizer(u, np.concatenate(state.z))))
-        state.objective_trace.append(F)
-        hinge_trace.append(reg + beta * float(np.sum(hinge(u))))
         if ipm.step():
             stop_reason, iterations = "gap", t
             break
         if ipm.outcome is not None:  # its step raised
             stop_reason, iterations = "stall", t
             break
+        blocks, rhs, shared = parts.blocks(state.z, w_a)
+        _, refined = _factor_blocks(blocks, shared, parts.hard, parts.note)
+        w, _, resid = refined(rhs)
+        u = parts.project(w)
+        reg = parts.regularizer(w)
+        F = reg + beta * float(np.sum(majorizer(u, np.concatenate(state.z))))
+        state.objective_trace.append(F)
+        hinge_trace.append(reg + beta * float(np.sum(hinge(u))))
         if tight(parts.regularizer(ipm.w), ipm.u) <= tight(reg, u):
             anchor, w_a = ipm.u, ipm.w
         else:
             anchor, w_a = u, w
-        state.update(np.split(anchor, parts.cuts))
+        state.update([anchor[c] for c in parts.slices])
     if stop_reason == "cap":
         warnings.warn(
             f"fit stopped at max_iters={hp.max_iters} before the interior-point "
@@ -811,7 +815,8 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
             MaxItersExceeded,
             stacklevel=3,
         )
-    if parts.regularizer(ipm.w) + beta * float(np.sum(hinge(ipm.u))) < hinge_trace[-1]:
+    ipm_value = parts.regularizer(ipm.w) + beta * float(np.sum(hinge(ipm.u)))
+    if not hinge_trace or ipm_value < hinge_trace[-1]:  # empty if the first step certifies
         w, resid = ipm.w, ipm.residual
     return _MMRun(
         w, iterations, resid, state.objective_trace, hinge_trace, ipm.status(), stop_reason
@@ -846,15 +851,10 @@ def fit_linear(
 
     Notes
     -----
-    Runs the shared MM iteration (see :func:`_minimize`), which re-anchors
-    its bound on an interior-point iterate when that is the better anchor.
-    It stops once that method certifies the optimum (``stop_reason``
-    "gap") or its step raises ("stall"), and returns the better of the
-    last MM iterate and the interior-point iterate by the training
-    functional; the model's ``interior_point`` says how the interior-point
-    method ended.  If ``hp.max_iters`` is reached first ("cap"), the better
-    of the two is returned with ``converged=False`` and a MaxItersExceeded
-    warning.
+    Runs the shared iteration of :func:`_minimize`, which says how it ends
+    and which iterate it returns; ``stop_reason`` and the model's
+    ``interior_point`` record the end.  At ``hp.max_iters`` ("cap") the
+    model has ``converged=False`` and a MaxItersExceeded warning is issued.
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, mode, hp)

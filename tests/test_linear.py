@@ -285,7 +285,8 @@ def _clamped_z(rng, sets, epsilon=1e-6):
 
 def _block_solve(parts, z, w_a):
     F, rhs, shared = parts.blocks(z, w_a)
-    w, q, _ = _factor_blocks(F, shared, parts.hard, parts.note)(rhs)
+    _, refined = _factor_blocks(F, shared, parts.hard, parts.note)
+    w, q, _ = refined(rhs)
     return w.ravel(), q[parts.hard]
 
 
@@ -363,11 +364,14 @@ class TestBlockSolve:
             _factor_blocks(F, np.zeros(3), np.zeros(3, dtype=bool), "")
 
     def test_a_non_finite_right_side_raises_singular_system(self):
-        # the check sits in the returned solve, so the interior-point right
-        # sides are checked as the MM ones are
-        solve = _factor_blocks(np.stack([np.eye(3)] * 2), np.zeros(3), np.zeros(3, dtype=bool), "")
-        with pytest.raises(SingularSystem, match="non-finite"):
-            solve(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]))
+        # the check sits in the plain solve, which the refined one calls, so
+        # the interior-point right sides are checked as the MM ones are
+        solve, refined = _factor_blocks(
+            np.stack([np.eye(3)] * 2), np.zeros(3), np.zeros(3, dtype=bool), ""
+        )
+        for f in (solve, refined):
+            with pytest.raises(SingularSystem, match="non-finite"):
+                f(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_hinge_blocks_raise_singular_system(self):
@@ -394,7 +398,7 @@ class TestBlockSolve:
 _THREAD_FIT = """
 import sys, warnings
 import numpy as np
-from ovnsvm import ConstraintMode, Dataset, Hyperparameters, fit_linear
+from ovnsvm import ConstraintMode, Dataset, Hyperparameters, KernelSpec, fit_kernel, fit_linear
 
 rng = np.random.default_rng(5)
 X = rng.standard_normal((400, 30))
@@ -406,11 +410,22 @@ for token in ("sw-sb", "sw-hb", "hw-sb", "hw-hb"):
         warnings.simplefilter("ignore")
         model = fit_linear(Dataset(X, Y), ConstraintMode.from_token(token), Hyperparameters())
     sys.stdout.write((model.W.tobytes() + model.b.tobytes()).hex() + "\\n")
+# 90 rows on three overlapping rings: the class blocks are of order 89
+r = rng.uniform(0.0, 3.0, 90)
+theta = rng.uniform(0.0, 2.0 * np.pi, 90)
+X = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+Y = (np.abs(r[:, None] - np.array([0.5, 1.5, 2.5])) < 0.65).astype(int)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    model = fit_kernel(Dataset(X, Y), KernelSpec(kind="gaussian", sigma=0.5),
+                       ConstraintMode("soft", "hard"), Hyperparameters(alpha=0.5))
+sys.stdout.write(str(model.stop_reason) + (model.A.tobytes() + model.b.tobytes()).hex() + "\\n")
 """
 
 
 def test_many_class_fit_is_the_same_at_any_blas_thread_count():
-    # K = 6 linear fits: the weights must not depend on how BLAS splits work
+    # K = 6 linear fits and a gaussian fit: the weights must not depend on
+    # how BLAS splits work, in the block solves' batched products too
     src = str(Path(ovnsvm.linear.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = []
@@ -428,6 +443,7 @@ def test_many_class_fit_is_the_same_at_any_blas_thread_count():
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
+    assert outputs[0].splitlines()[-1].startswith("gap")
     assert outputs[0] == outputs[1]
 
 
@@ -469,8 +485,9 @@ class TestFit:
         rng = np.random.default_rng(17)
         d = random_multilabel(rng, 10, 2, 2)
         model = fit_linear(d, ConstraintMode("soft", "hard"), Hyperparameters())
-        assert model.converged
-        assert model.iterations_used == len(model.surrogate_trace)
+        assert model.converged and model.stop_reason == "gap"
+        # the method steps first, and no MM solve follows its certificate
+        assert len(model.surrogate_trace) == model.iterations_used - 1
         assert len(model.hinge_trace) == len(model.surrogate_trace)
         assert model.kkt_residual < 1e-10
 
@@ -499,7 +516,7 @@ class TestFit:
                 d, ConstraintMode("soft", "hard"), Hyperparameters(max_iters=2)
             )
         assert not model.converged
-        assert model.iterations_used == 2
+        assert model.iterations_used == 2 == len(model.surrogate_trace)
         assert model.stop_reason == "cap"
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.token)
@@ -551,9 +568,40 @@ class TestFit:
         assert model.converged and model.stop_reason == "gap"
         assert model.iterations_used <= 10
         assert model.interior_point == f"converged after {model.iterations_used} steps"
-        assert len(model.hinge_trace) == model.iterations_used
+        assert len(model.hinge_trace) == model.iterations_used - 1
         assert training_objective(d, model.W, model.b, mode, hp) <= 9.000001
         assert model.kkt_residual <= hp.tol
+
+    def test_a_certified_fit_factors_one_system_less_than_twice_per_iteration(
+        self, monkeypatch
+    ):
+        # one Newton system per step and one MM system per iteration but the
+        # last: the step that certifies the optimum ends the fit before its
+        # MM solve
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _factor_blocks(*args)
+
+        monkeypatch.setattr(ovnsvm.linear, "_factor_blocks", counted)
+        d = random_multilabel(np.random.default_rng(17), 30, 3, 3)
+        model = fit_linear(d, ConstraintMode("soft", "hard"), Hyperparameters())
+        assert model.stop_reason == "gap"
+        assert len(calls) == 2 * model.iterations_used - 1
+
+    def test_a_fit_certified_on_its_first_step_returns_the_method_iterate(self):
+        # at a loose tolerance the first step certifies, before any MM solve
+        d = random_multilabel(np.random.default_rng(17), 30, 3, 3)
+        mode, hp = ConstraintMode("soft", "hard"), Hyperparameters(tol=1.0)
+        model = fit_linear(d, mode, hp)
+        assert (model.stop_reason, model.iterations_used) == ("gap", 1)
+        assert model.surrogate_trace == [] and model.hinge_trace == []
+        parts = _linear_parts(d.features, d.class_index_sets(), mode, hp)
+        ipm = _InteriorPoint(parts, hp)
+        assert ipm.step()
+        np.testing.assert_array_equal(np.column_stack([model.W, model.b]), ipm.w)
+        assert model.kkt_residual == ipm.residual
 
     def test_empty_class_rejected(self):
         d = Dataset([[1.0], [2.0]], [[1, 0], [1, 0]])
@@ -696,14 +744,17 @@ def _to_boundary_by_gathers(xs, dxs, frac):
 
 @pytest.mark.parametrize("frac", [1.0, 0.99])
 def test_to_boundary_matches_the_gathered_quotients(frac):
+    # the iterates are strictly positive (see the test below), some of them
+    # far down on the boundary
     rng = np.random.default_rng(0)
     for _ in range(50):
         xs = [rng.uniform(0.0, 2.0, 40) for _ in range(4)]
         dxs = [rng.standard_normal(40) * rng.uniform(0.1, 10.0) for _ in range(4)]
         for x, dx in zip(xs, dxs):
-            x[rng.uniform(size=40) < 0.2] = 0.0
+            x[rng.uniform(size=40) < 0.2] = 1e-300
             dx[rng.uniform(size=40) < 0.2] = 0.0
-        xs[1][0], dxs[1][0] = 0.0, 0.0  # 0/0 sits under the mask
+        xs[1][0], dxs[1][0] = 1e-300, 0.0  # 0/x is no limit
+        xs[3][1], dxs[3][1] = 5e-324, -1.0  # dx/x overflows to -inf
         dxs[2] = np.abs(dxs[2])  # an array with no negative entry
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -711,3 +762,26 @@ def test_to_boundary_matches_the_gathered_quotients(frac):
         assert got == _to_boundary_by_gathers(xs, dxs, frac)
     # no negative direction anywhere: the full step
     assert _to_boundary([np.ones(3)], [np.zeros(3)], frac) == 1.0
+
+
+@pytest.mark.parametrize("solver", ["linear", "gaussian"])
+def test_every_step_keeps_the_iterate_strictly_positive(monkeypatch, solver):
+    # _to_boundary divides by the iterate, so it must never reach 0
+    steps = []
+    step = _InteriorPoint.step
+
+    def checked(self):
+        certified = step(self)
+        steps.append(min(self.xi.min(), self.s.min(), self.lam.min(), self.nu.min()))
+        return certified
+
+    monkeypatch.setattr(_InteriorPoint, "step", checked)
+    d = _planted_multilabel(np.random.default_rng(2), 200, m=5, k=4)
+    mode, hp = ConstraintMode("soft", "hard"), Hyperparameters(tol=1e-12)
+    if solver == "linear":
+        model = fit_linear(d, mode, hp)
+    else:
+        model = fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp)
+    assert model.stop_reason == "gap"
+    assert len(steps) == model.iterations_used
+    assert min(steps) > 0.0
