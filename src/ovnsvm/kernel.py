@@ -172,7 +172,7 @@ def fit_kernel(
     mode: ConstraintMode,
     hp: Hyperparameters,
 ) -> TrainedKernelModel:
-    """Fit the kernel model with the MM iteration of the linear solver.
+    """Fit the kernel model with the interior-point fit of the linear solver.
 
     Parameters
     ----------
@@ -193,12 +193,12 @@ def fit_kernel(
     ridge: the factor below stops at the numerical rank of G, so a
     semidefinite or rank-deficient G needs no jitter on its diagonal.
     The fit is the linear fit (:func:`ovnsvm.linear._minimize`) on the
-    rows of the pivoted Cholesky factor R of the Gram matrix, interior-point
-    anchor included, so ``interior_point`` reports on the same method.  It
+    rows of the pivoted Cholesky factor R of the Gram matrix: the
+    interior-point method, whose iterate is the model and on which
+    ``interior_point`` reports, with plain MM beside it for the traces.  It
     stops as that fit does, on the method's certificate ("gap"), on a step
     of the method that raised ("stall") or at the cap ("cap"), as
-    ``stop_reason`` says, and returns the better of the last MM and
-    interior-point iterates.  On an edge of the coupling window the Gram
+    ``stop_reason`` says.  On an edge of the coupling window the Gram
     factor usually leaves coupling null directions without hinge
     curvature; the edge term of the linear fit keeps both the MM and the
     Newton systems regular there.  The coefficients A are the pivot

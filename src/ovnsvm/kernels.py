@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian", "polynomial"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        # NaN passes the sign checks below, and the fit would fail in its solves
+        for name in ("sigma", "coef0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not isinstance(self.degree, numbers.Integral):
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ValueError("sigma must be strictly positive")
         if self.kind == "polynomial" and self.degree < 1:

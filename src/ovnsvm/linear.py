@@ -5,15 +5,16 @@ implicit origin rather than against the other classes' patterns.  The
 pairwise coupling between classes is either penalized (soft) or constrained
 (hard), and likewise for the bias sum, giving four constraint modes.
 
-Training alternates a KKT solve of the quadratic surrogate problem in the
-stacked augmented weights with the closed-form auxiliary update, taken at
-the last solve or at the iterate of an interior-point method on the same
-problem, whichever bounds lower (``_minimize``, which the kernel solver
-runs too).  The fit ends on that method's certificate of the optimum.
-Classes meet only through the sum of their weight vectors, so each solve
-takes one small Cholesky factor per class and one system in the shared
-sum (``_factor_blocks``); ``assemble`` and ``solve_kkt`` keep the dense
-system as the reference.  The surrogate objective value never increases.
+The fit is an interior-point method on the training QP, which ends on its
+certificate of the optimum and whose iterate is the model (``_minimize``,
+which the kernel solver runs too).  Beside it runs a plain MM iteration,
+a KKT solve of the quadratic surrogate problem in the stacked augmented
+weights alternating with the closed-form auxiliary update, whose only
+output is its descent trace.  Classes meet only through the sum of their
+weight vectors, so each Newton or surrogate system takes one small
+Cholesky factor per class and one system in the shared sum
+(``_factor_blocks``); ``assemble`` and ``solve_kkt`` keep the dense
+system as the reference.
 
 The functional the solver minimizes, which ``training_objective``
 evaluates and every fit reports as ``final_objective``, is
@@ -32,6 +33,7 @@ eigenvalues >= 0, and there no term of F is negative.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -40,8 +42,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dtrtri
 
 from .data import Dataset, augment_rows, finite_features
-from .errors import HessianNotPD, MaxItersExceeded, SingularSystem
-from .majorization import DEFAULT_EPSILON, MMState, hinge, majorizer, z_update
+from .errors import DimensionMismatch, HessianNotPD, MaxItersExceeded, SingularSystem
+from .majorization import DEFAULT_EPSILON, MMState, hinge, majorizer
 
 _MODE_TOKENS = {
     "sw-sb": ("soft", "soft"),
@@ -105,6 +107,8 @@ class Hyperparameters:
             raise ValueError("epsilon must be strictly positive")
         if self.tol <= 0:
             raise ValueError("tol must be strictly positive")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -113,12 +117,13 @@ class Hyperparameters:
 class TrainedLinearModel:
     """Fit result: per-class weight rows W, biases b, and diagnostics.
 
+    (W, b) is the iterate of the interior-point method that fits it.
     ``surrogate_trace`` holds the surrogate objective after every weight
-    solve (non-increasing); ``hinge_trace`` holds the training objective at
-    the same iterates.  ``kkt_residual`` is the relative residual of the
-    final first-order system solve.  ``final_objective`` is the minimized
-    functional at (W, b), :func:`training_objective`.
-    ``interior_point`` says how the interior-point anchor of the MM loop
+    solve of the MM iteration run beside that method (non-increasing);
+    ``hinge_trace`` holds the training objective at the same MM iterates.
+    ``kkt_residual`` is the method's relative stationarity residual at
+    (W, b).  ``final_objective`` is the minimized functional at (W, b),
+    :func:`training_objective`.  ``interior_point`` says how the method
     ended: "converged after n steps", "stopped on <error> after n steps"
     or "running after n steps" at the iteration cap (see
     :func:`_minimize`).  ``stop_reason`` says why the fit stopped: "gap"
@@ -150,7 +155,12 @@ class TrainedLinearModel:
 
     def decision_scores(self, X) -> np.ndarray:
         """Per-class scores w_k' x + b_k for every row of X, shape (T, K)."""
-        return finite_features(X) @ self.W.T + self.b
+        X = finite_features(X)
+        if X.shape[1:] != (self.n_features,):
+            raise DimensionMismatch(
+                f"rows of shape {X.shape} for a model of {self.n_features} features"
+            )
+        return X @ self.W.T + self.b
 
 
 @dataclass
@@ -455,12 +465,10 @@ def _factor_blocks(F, shared, hard, note):
     with Sigma = sum_k F_k^-1 and xbar = sum_k F_k^-1 rhs_k.  That is K
     Cholesky factors of order P, inverted, and one LU factor of order P in
     place of the Cholesky factor of order K P.  ``F`` is (K, P, P); returns
-    (solve, refined).  ``solve(rhs)`` gives (w as K x P, q) for the (K, P)
-    right side ``rhs``, so the multipliers are ``q[hard]``; Newton
-    directions take it as it is.  ``refined(rhs)``, for the MM solve, adds
-    refinement rounds on the full KKT residual, kept only when it drops as
-    in :func:`_solve_reduced`, and returns (w, q, relative KKT residual).
-    Non-finite entries in the blocks or in a right side raise SingularSystem.
+    ``solve``, which gives (w as K x P, q) for the (K, P) right side
+    ``rhs``, so the multipliers are ``q[hard]``.  Newton directions and the
+    MM solve take it alike, with no refinement.  Non-finite entries in the
+    blocks or in a right side raise SingularSystem.
     """
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(shared))):
         raise SingularSystem("assembled system contains non-finite entries")
@@ -485,37 +493,17 @@ def _factor_blocks(F, shared, hard, note):
     if info or dgecon(lu, float(np.max(np.sum(np.abs(B), axis=0))))[0] < np.finfo(float).eps:
         raise SingularSystem(f"the shared system of the class blocks is singular ({note})")
 
-    def solve(r, g=0.0):
-        # the solution for right side r and held sums g.  The shared term
-        # goes through the same inverses that Sigma sums, so the held sums
-        # of w match g to rounding, not to the blocks' condition number.
+    def solve(r):
+        # the shared term goes through the same inverses that Sigma sums, so
+        # the held sums of w are 0 to rounding, not to the blocks' condition
+        # number
         if not np.all(np.isfinite(r)):
             raise SingularSystem("assembled system contains non-finite entries")
         x = np.matmul(inv, r[:, :, None])[:, :, 0]
-        q = dgetrs(lu, piv, mix * x.sum(axis=0) - hard * g)[0]
+        q = dgetrs(lu, piv, mix * x.sum(axis=0))[0]
         return x - inv @ q, q
 
-    def refined(rhs):
-        def residual(w, q):
-            s = w.sum(axis=0)
-            r1 = rhs - np.matmul(F, w[:, :, None])[:, :, 0] - shared * s - hard * q
-            g = -(hard * s)
-            return r1, g, float(np.sqrt(np.sum(r1 * r1) + np.sum(g * g)))
-
-        denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-        w, q = solve(rhs)
-        r1, g, best_r = residual(w, q)
-        for _ in range(4):
-            if best_r <= 1e-15 * denom:
-                break
-            dw, dq = solve(r1, g)
-            c1, cg, cand_r = residual(w + dw, q + dq)
-            if cand_r >= best_r:
-                break
-            w, q, r1, g, best_r = w + dw, q + dq, c1, cg, cand_r
-        return w, q, best_r / denom
-
-    return solve, refined
+    return solve
 
 
 def _coupling_spectrum(pair, K):
@@ -588,8 +576,8 @@ def _validate_fit_inputs(sets, mode, hp):
 
 
 @dataclass
-class _MMRun:
-    w: np.ndarray  # stacked augmented weights of the returned iterate, K x P
+class _FitRun:
+    w: np.ndarray  # stacked augmented weights of the interior-point iterate, K x P
     # the rest are the models' diagnostic fields, under the models' names
     iterations_used: int
     kkt_residual: float
@@ -617,7 +605,7 @@ def _to_boundary(xs, dxs, frac):
 
 
 class _InteriorPoint:
-    """Mehrotra predictor-corrector steps on the fit's QP, as MM anchors.
+    """Mehrotra predictor-corrector steps on the fit's QP: the fit's model.
 
     The fit minimizes reg(w) + beta 1'xi subject to s = u + xi - 1 >= 0,
     xi >= 0 and the held sums, with u the projections of the weights
@@ -645,7 +633,7 @@ class _InteriorPoint:
     to the clamp's shift of at most 2 epsilon/beta times the multiplier step,
     which the next step's residual takes back: xi >= hinge(u) to that
     precision.  Every step keeps the held sums, so the iterate meets them to
-    rounding and is a valid MM anchor.
+    rounding.
 
     The method stops stepping once the gap lam's + nu'xi is at most
     ``hp.tol`` max(1, |reg(w) + beta 1'xi|) and the stationarity residual
@@ -712,7 +700,7 @@ class _InteriorPoint:
         z = np.maximum((hp.beta / 2.0) * (s / lam + xi / nu), hp.epsilon)
         d = (hp.beta / 2.0) / z
         F, shared = parts.curvature([z[c] for c in parts.slices])
-        solve, _ = _factor_blocks(F, shared, parts.hard, parts.note)
+        solve = _factor_blocks(F, shared, parts.hard, parts.note)
 
         def direction(r_lam, r_nu):
             # the Newton step with complementarity rows s dlam + lam ds = -r_lam
@@ -740,53 +728,46 @@ class _InteriorPoint:
         self.u = parts.project(self.w)
 
 
-def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
-    """The MM iteration shared by the linear and the kernel solver.
+def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _FitRun:
+    """The fit shared by the linear and the kernel solver.
 
-    Each iteration first takes one step of an interior-point method on the
-    same problem (:class:`_InteriorPoint`).  Then a refined KKT solve gives
-    w_t, the minimizer of the surrogate at the current auxiliaries, by
-    class blocks (:func:`_factor_blocks`): K Cholesky factors of order P
-    and one P x P system in the class sum, K P^3 + O(P^3) flops against
-    (K P)^3 / 3 for the dense factor.  A block that is not positive
-    definite raises HessianNotPD naming its class; non-finite entries or a
-    singular shared system raise SingularSystem.  The bound is then
-    re-anchored: let h(w) be the surrogate with every z tight at w,
-    z = max(|1 - u|, epsilon).  The auxiliaries are set at whichever of
-    w_t and the method's iterate has the lesser h, so the next surrogate
-    value is at most h(anchor) <= h(w_t) <= F_t and the trace does not
-    rise.  Both meet the hard constraints: the MM iterates meet them and
-    the interior-point steps keep them.
+    The fit is the interior-point method on the training QP
+    (:class:`_InteriorPoint`), one step per iteration, and it returns that
+    method's iterate with its relative stationarity residual as
+    ``kkt_residual``.  It ends on the method's certificate of the optimum
+    (gap and stationarity within ``hp.tol``, ``stop_reason`` "gap"), on
+    the method's step raising HessianNotPD or SingularSystem ("stall"; a
+    raise on the first step propagates) or at ``hp.max_iters`` ("cap"),
+    with a MaxItersExceeded warning.
 
+    Beside it runs a plain MM iteration, which the method never reads and
+    whose only output is its descent trace.  Each MM iteration solves the
+    surrogate at the current auxiliaries for w_t by class blocks
+    (:func:`_factor_blocks`): K Cholesky factors of order P and one P x P
+    system in the class sum, K P^3 + O(P^3) flops against (K P)^3 / 3 for
+    the dense factor.  It then re-anchors the bound at w_t, z = max(|1 -
+    u|, epsilon), so the next surrogate value is at most F_t and the trace
+    does not rise.  A block that is not positive definite raises
+    HessianNotPD naming its class; non-finite entries or a singular shared
+    system raise SingularSystem, and these propagate from the MM solve too.
     On an edge of the coupling window the surrogate can be flat along
     coupling null directions (``parts.flat``) that the hinge terms do not
     curve.  Each solve there adds the proximal term of
-    :meth:`_FixedParts.blocks` around the point w_a where z is tight (w =
-    0 for the initial z = 1).  The sum still majorizes the objective, is
-    tight at w_a and has a positive definite 2H, so the bound chain above
-    holds; the interior-point Newton system carries the same term.
+    :meth:`_FixedParts.blocks` around the last MM iterate w_a, where z is
+    tight (w = 0 for the initial z = 1).  The sum still majorizes the
+    objective, is tight at w_a and has a positive definite 2H, so the
+    bound chain holds; the interior-point Newton system carries the same
+    term.
 
-    The fit ends on the interior-point method, before the MM solve of that
-    iteration: on its certificate of the QP optimum (gap and stationarity
-    within ``hp.tol``, ``stop_reason`` "gap") or on its step raising
-    HessianNotPD or SingularSystem ("stall"; a raise on the first step
-    propagates).  At ``hp.max_iters`` ("cap") it ends with a
-    MaxItersExceeded warning.  It returns whichever of the last MM iterate
-    and the method's iterate has the lower training functional reg(w) +
-    beta sum hinge(u), the MM iterate on a tie, with ``kkt_residual`` the
-    relative residual of that MM solve or the method's relative
-    stationarity residual.  The traces hold MM iterates only:
-    ``iterations_used - 1`` of them, or ``iterations_used`` at the cap.
+    The method steps first in each iteration, and no MM solve follows the
+    step that ends the fit, so the traces hold ``iterations_used - 1`` MM
+    iterates, or ``iterations_used`` at the cap.
     """
-    beta, eps = hp.beta, hp.epsilon
-    state = MMState.fresh([A_k.shape[0] for A_k in parts.rows], eps)
+    beta = hp.beta
+    state = MMState.fresh([A_k.shape[0] for A_k in parts.rows], hp.epsilon)
     ipm = _InteriorPoint(parts, hp)
-
-    def tight(reg, u):
-        return reg + beta * float(np.sum(majorizer(u, z_update(u, eps))))
-
     hinge_trace: list = []
-    w_a = np.zeros_like(ipm.w)  # the point at which the auxiliaries are tight
+    w = np.zeros_like(ipm.w)  # the last MM iterate, at which the auxiliaries are tight
     stop_reason, iterations = "cap", hp.max_iters
     for t in range(1, hp.max_iters + 1):  # Hyperparameters keeps max_iters >= 1
         if ipm.step():
@@ -795,19 +776,15 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
         if ipm.outcome is not None:  # its step raised
             stop_reason, iterations = "stall", t
             break
-        blocks, rhs, shared = parts.blocks(state.z, w_a)
-        _, refined = _factor_blocks(blocks, shared, parts.hard, parts.note)
-        w, _, resid = refined(rhs)
+        blocks, rhs, shared = parts.blocks(state.z, w)
+        w, _ = _factor_blocks(blocks, shared, parts.hard, parts.note)(rhs)
         u = parts.project(w)
         reg = parts.regularizer(w)
-        F = reg + beta * float(np.sum(majorizer(u, np.concatenate(state.z))))
-        state.objective_trace.append(F)
+        state.objective_trace.append(
+            reg + beta * float(np.sum(majorizer(u, np.concatenate(state.z))))
+        )
         hinge_trace.append(reg + beta * float(np.sum(hinge(u))))
-        if tight(parts.regularizer(ipm.w), ipm.u) <= tight(reg, u):
-            anchor, w_a = ipm.u, ipm.w
-        else:
-            anchor, w_a = u, w
-        state.update([anchor[c] for c in parts.slices])
+        state.update([u[c] for c in parts.slices])
     if stop_reason == "cap":
         warnings.warn(
             f"fit stopped at max_iters={hp.max_iters} before the interior-point "
@@ -815,18 +792,16 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _MMRun:
             MaxItersExceeded,
             stacklevel=3,
         )
-    ipm_value = parts.regularizer(ipm.w) + beta * float(np.sum(hinge(ipm.u)))
-    if not hinge_trace or ipm_value < hinge_trace[-1]:  # empty if the first step certifies
-        w, resid = ipm.w, ipm.residual
-    return _MMRun(
-        w, iterations, resid, state.objective_trace, hinge_trace, ipm.status(), stop_reason
+    return _FitRun(
+        ipm.w, iterations, ipm.residual, state.objective_trace, hinge_trace, ipm.status(),
+        stop_reason,
     )
 
 
 def fit_linear(
     dataset: Dataset, mode: ConstraintMode, hp: Hyperparameters
 ) -> TrainedLinearModel:
-    """Fit the linear model by alternating KKT solves and auxiliary updates.
+    """Fit the linear model by the interior-point method of :func:`_minimize`.
 
     Parameters
     ----------
@@ -844,17 +819,18 @@ def fit_linear(
     HessianNotPD
         If ``hp.alpha`` is outside -2/(K-1) <= alpha <= 2 in soft-w modes
         (checked before any factorization), or the block of a class in a
-        surrogate Hessian is not positive definite.
+        Newton or surrogate system is not positive definite.
     SingularSystem
-        If a surrogate system has non-finite entries or its shared system
-        in the class sum is singular to working precision.
+        If a Newton or surrogate system has non-finite entries or its
+        shared system in the class sum is singular to working precision.
 
     Notes
     -----
-    Runs the shared iteration of :func:`_minimize`, which says how it ends
-    and which iterate it returns; ``stop_reason`` and the model's
-    ``interior_point`` record the end.  At ``hp.max_iters`` ("cap") the
-    model has ``converged=False`` and a MaxItersExceeded warning is issued.
+    Runs the shared fit of :func:`_minimize`, which says how it ends and
+    what the traces hold; (W, b) is the interior-point iterate, and
+    ``stop_reason`` and the model's ``interior_point`` record the end.  At
+    ``hp.max_iters`` ("cap") the model has ``converged=False`` and a
+    MaxItersExceeded warning is issued.
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, mode, hp)

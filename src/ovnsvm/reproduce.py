@@ -35,8 +35,8 @@ TABLES = ("t3", "t4", "t5", "unseen")
 # Pinned recipe for the unseen-label toy.  The training clusters are repo
 # constants (see data.py); the fit below reproduces the six-row test table
 # exactly, so these values are load-bearing and must not drift.  The fit
-# stops on the interior-point certificate ("gap") after 11 MM iterations;
-# the iteration budget is headroom and does not decide the table.
+# stops on the interior-point certificate ("gap") after 11 steps of the
+# method; the iteration budget is headroom and does not decide the table.
 UNSEEN_SEED = 7
 UNSEEN_N = 10
 UNSEEN_MODE = "sw-hb"
@@ -49,8 +49,8 @@ UNSEEN_TOL = 1e-9
 # a +/-3 band per class because the reference extraction rule is unstated.
 # The counts compare scores against 1, so the fits run to the tight
 # tolerance below rather than the fit defaults.  All three stop on the
-# interior-point certificate after 11 MM iterations each, far inside the
-# budget.
+# interior-point certificate after 11 steps of the method each, far inside
+# the budget.
 T3_RECIPES = {
     "hourglass": {
         "kernel": {"kind": "gaussian", "sigma": 0.6},

@@ -291,6 +291,33 @@ class TestExitCodes:
         assert not pred.exists()
         assert "row 2, column x: non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["linear", "kernel"])
+    def test_rows_of_the_wrong_width_are_data_errors(self, tmp_path, capsys, solver):
+        good, model = tmp_path / "good.csv", tmp_path / "m.json"
+        good.write_text("x,y,label:a,label:b\n0,0,1,0\n1,1,0,1\n0,1,1,0\n1,0,0,1\n")
+        assert run("train", "--data", str(good), "--solver", solver,
+                   "--model-out", str(model)) == 0
+        wide = tmp_path / "wide.csv"
+        wide.write_text("x,y,z\n0.5,0.5,0.5\n1,1,1\n")
+        pred = tmp_path / "p.csv"
+        code = run("predict", "--model", str(model), "--data", str(wide), "--out", str(pred))
+        assert code == 3
+        assert not pred.exists()
+        assert "for a model of 2 features" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--sigma", "nan"), ("--sigma", "inf"), ("--coef0", "nan")]
+    )
+    def test_values_a_fit_cannot_use_are_usage_errors(self, tmp_path, flag, value):
+        data = tmp_path / "d.csv"
+        run("synth", "--kind", "moon", "--out", str(data))
+        code = run(
+            "train", "--data", str(data), "--solver", "kernel", flag, value,
+            "--model-out", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert not (tmp_path / "m.json").exists()
+
     def test_corrupt_model_document(self, tmp_path):
         data = tmp_path / "d.csv"
         run("synth", "--kind", "moon", "--out", str(data))

@@ -22,6 +22,23 @@ def test_spec_validation():
         KernelSpec(kind="polynomial", degree=0)
 
 
+@pytest.mark.parametrize("kind", ["linear", "gaussian", "polynomial"])
+@pytest.mark.parametrize("name", ["sigma", "coef0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_kernel_parameters_are_rejected_by_name(kind, name, value):
+    # NaN passes the sign checks, and a fit would only fail in its solves
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        KernelSpec(kind=kind, **{name: value})
+
+
+@pytest.mark.parametrize("kind", ["linear", "gaussian", "polynomial"])
+@pytest.mark.parametrize("degree", [2.5, 2.0, float("nan")])
+def test_degree_must_be_an_integer(kind, degree):
+    with pytest.raises(ValueError, match=r"^degree must be an integer"):
+        KernelSpec(kind=kind, degree=degree)
+    assert KernelSpec(kind=kind, degree=np.int64(3)).degree == 3
+
+
 def test_eval_hand_values():
     x = np.array([1.0, 2.0])
     y = np.array([3.0, -1.0])

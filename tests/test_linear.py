@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import ovnsvm.kernel
 import ovnsvm.linear
@@ -19,6 +20,7 @@ from ovnsvm import (
     AssembledSystem,
     ConstraintMode,
     Dataset,
+    DimensionMismatch,
     HessianNotPD,
     Hyperparameters,
     MaxItersExceeded,
@@ -43,7 +45,7 @@ from ovnsvm.linear import (
     _linear_parts,
     _to_boundary,
 )
-from ovnsvm.majorization import hinge
+from ovnsvm.majorization import hinge, majorizer
 from ovnsvm.oracle import subgradient_fit
 
 MODES = [ConstraintMode.from_token(t) for t in ("sw-sb", "sw-hb", "hw-sb", "hw-hb")]
@@ -71,6 +73,13 @@ class TestModesAndCoefficients:
             Hyperparameters(tol=0.0)
         with pytest.raises(ValueError):
             Hyperparameters(max_iters=0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), "3"])
+    def test_max_iters_must_be_an_integer(self, value):
+        # the fit's loop would fail inside range() instead
+        with pytest.raises(ValueError, match=r"^max_iters must be an integer"):
+            Hyperparameters(max_iters=value)
+        assert Hyperparameters(max_iters=np.int64(3)).max_iters == 3
 
     @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "epsilon", "tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -284,9 +293,10 @@ def _clamped_z(rng, sets, epsilon=1e-6):
 
 
 def _block_solve(parts, z, w_a):
+    # the one unrefined solve that both the MM iteration and the Newton
+    # directions take
     F, rhs, shared = parts.blocks(z, w_a)
-    _, refined = _factor_blocks(F, shared, parts.hard, parts.note)
-    w, q, _ = refined(rhs)
+    w, q = _factor_blocks(F, shared, parts.hard, parts.note)(rhs)
     return w.ravel(), q[parts.hard]
 
 
@@ -364,14 +374,14 @@ class TestBlockSolve:
             _factor_blocks(F, np.zeros(3), np.zeros(3, dtype=bool), "")
 
     def test_a_non_finite_right_side_raises_singular_system(self):
-        # the check sits in the plain solve, which the refined one calls, so
-        # the interior-point right sides are checked as the MM ones are
-        solve, refined = _factor_blocks(
+        # the check sits in the one solve, so the interior-point right sides
+        # are checked as the MM ones are
+        solve = _factor_blocks(
             np.stack([np.eye(3)] * 2), np.zeros(3), np.zeros(3, dtype=bool), ""
         )
-        for f in (solve, refined):
+        for bad in (np.nan, np.inf):
             with pytest.raises(SingularSystem, match="non-finite"):
-                f(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]]))
+                solve(np.array([[1.0, bad, 0.0], [0.0, 1.0, 0.0]]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_hinge_blocks_raise_singular_system(self):
@@ -545,12 +555,11 @@ class TestFit:
             warnings.simplefilter("error", MaxItersExceeded)
             model = fit_linear(d, mode, Hyperparameters())
         assert model.converged
-        # the fit returns the better of the MM and the interior-point
-        # iterate, and either meets the held sums.  Here the interior-point
-        # iterate wins in every mode: the last MM iterate carries the
-        # epsilon clamp of its bound.
+        # the fit returns the interior-point iterate, which meets the held
+        # sums; the MM iteration beside it, its bound clamped at epsilon, is
+        # still above the certified optimum at every iterate of its trace
         hp = model.hyperparameters
-        assert training_objective(d, model.W, model.b, mode, hp) < model.hinge_trace[-1]
+        assert training_objective(d, model.W, model.b, mode, hp) < min(model.hinge_trace)
         res = feasibility(model.W, model.b)
         if mode.w_constraint == "hard":
             assert res["sum_w_inf"] <= 1e-10
@@ -623,6 +632,19 @@ class TestFit:
         assert model.decision_scores(np.zeros((4, 2))).shape == (4, 3)
         assert (model.n_classes, model.n_features) == (3, 2)
 
+    @pytest.mark.parametrize("kind", ["linear", "kernel"])
+    def test_decision_scores_reject_rows_of_the_wrong_shape(self, kind):
+        d = random_multilabel(np.random.default_rng(29), 8, 2, 3)
+        mode, hp = ConstraintMode("soft", "hard"), Hyperparameters()
+        if kind == "linear":
+            model = fit_linear(d, mode, hp)
+        else:
+            model = fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp)
+        for X in (np.zeros(2), np.zeros((4, 3)), np.zeros((0, 1)), np.zeros((1, 1, 2))):
+            with pytest.raises(DimensionMismatch, match="model of 2 features"):
+                model.decision_scores(X)
+        assert model.decision_scores(np.zeros((0, 2))).shape == (0, 3)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_decision_scores_reject_non_finite_rows(self, value):
         rng = np.random.default_rng(29)
@@ -633,7 +655,7 @@ class TestFit:
 
 
 class TestInteriorPointAnchor:
-    """The interior-point iterate that the MM loop may re-anchor on."""
+    """The interior-point method, whose iterate is the fit's model."""
 
     @pytest.mark.parametrize("solver", ["linear", "kernel"])
     @pytest.mark.parametrize(
@@ -713,8 +735,8 @@ class TestInteriorPointAnchor:
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.token)
     def test_the_interior_point_iterate_meets_the_problem_constraints(self, mode):
-        # the iterate is a valid anchor only if it meets the held sums; its
-        # slacks keep xi >= hinge(u), so reg + beta sum(xi) bounds the objective
+        # the iterate is the model, so it must meet the held sums; its slacks
+        # keep xi >= hinge(u), so reg + beta sum(xi) bounds the objective
         d = _planted_multilabel(np.random.default_rng(1), 200, m=5, k=4)
         hp = Hyperparameters()
         parts = _linear_parts(d.features, d.class_index_sets(), mode, hp)
@@ -785,3 +807,79 @@ def test_every_step_keeps_the_iterate_strictly_positive(monkeypatch, solver):
     assert model.stop_reason == "gap"
     assert len(steps) == model.iterations_used
     assert min(steps) > 0.0
+
+
+_CONTRACT_FITS = [("sw-sb", 1.0), ("sw-hb", 1.0), ("hw-sb", 1.0), ("hw-hb", 1.0),
+                  ("sw-hb", 2.0), ("gaussian", 0.5)]
+
+
+def _contract_fit(solver, alpha, max_iters):
+    # the fitted model and the fixed parts of its fit; a gaussian fit also
+    # gives the map from the weights on the Gram factor to A
+    d = random_multilabel(np.random.default_rng(13), 60, 4, 3)
+    hp = Hyperparameters(alpha=alpha, max_iters=max_iters)
+    with quiet_max_iters():
+        if solver == "gaussian":
+            mode, spec = ConstraintMode("soft", "hard"), KernelSpec(kind="gaussian", sigma=0.8)
+            model = fit_kernel(d, spec, mode, hp)
+            G = gram(spec, d.features)
+            parts, L, pivots = _kernel_parts(d.class_index_sets(), G, mode, hp)
+            r = len(pivots)
+
+            def weights(w):
+                A = np.zeros_like(model.A)
+                A[:, pivots] = solve_triangular(L, w[:, :r].T, lower=True, trans="T").T
+                return A, w[:, r]
+
+            return model, parts, hp, weights, (model.A, model.b)
+        mode = ConstraintMode.from_token(solver)
+        model = fit_linear(d, mode, hp)
+        parts = _linear_parts(d.features, d.class_index_sets(), mode, hp)
+        M = d.n_features
+        return model, parts, hp, lambda w: (w[:, :M], w[:, M]), (model.W, model.b)
+
+
+@pytest.mark.parametrize("max_iters", [500, 1], ids=["certified", "cap"])
+@pytest.mark.parametrize("solver, alpha", _CONTRACT_FITS)
+def test_the_model_is_the_interior_point_iterate(solver, alpha, max_iters):
+    # the method stepped alone, with no MM iteration beside it, gives the
+    # model bit for bit: it reads nothing of MM, and its iterate is returned
+    # whatever the stop, also after one step, where the linear fits' first
+    # MM iterate has the lower objective
+    model, parts, hp, weights, got = _contract_fit(solver, alpha, max_iters)
+    assert model.stop_reason == ("gap" if max_iters == 500 else "cap")
+    ipm = _InteriorPoint(parts, hp)
+    for _ in range(model.iterations_used):
+        ipm.step()
+    for g, want in zip(got, weights(ipm.w)):
+        assert np.array_equal(g, want)
+    assert model.kkt_residual == ipm.residual
+
+
+def _plain_mm_traces(parts, hp, n):
+    # n iterations of MM alone: solve the surrogate at z, then make z tight
+    # at the new iterate, around which an edge fit's next solve is proximal
+    state = MMState.fresh([A_k.shape[0] for A_k in parts.rows], hp.epsilon)
+    w = np.zeros((len(parts.rows), parts.metric.shape[0]))
+    surrogate, objective = [], []
+    for _ in range(n):
+        F, rhs, shared = parts.blocks(state.z, w)
+        w, _ = _factor_blocks(F, shared, parts.hard, parts.note)(rhs)
+        u = parts.project(w)
+        reg = parts.regularizer(w)
+        surrogate.append(reg + hp.beta * float(np.sum(majorizer(u, np.concatenate(state.z)))))
+        objective.append(reg + hp.beta * float(np.sum(hinge(u))))
+        state.update([u[c] for c in parts.slices])
+    return surrogate, objective
+
+
+@pytest.mark.parametrize("max_iters", [500, 3], ids=["certified", "cap"])
+@pytest.mark.parametrize("solver, alpha", _CONTRACT_FITS)
+def test_the_traces_are_those_of_plain_mm(solver, alpha, max_iters):
+    # no MM solve follows the step that ends a certified fit
+    model, parts, hp, _, _ = _contract_fit(solver, alpha, max_iters)
+    n = model.iterations_used - (model.stop_reason != "cap")
+    assert n > 0
+    surrogate, objective = _plain_mm_traces(parts, hp, n)
+    assert model.surrogate_trace == surrogate
+    assert model.hinge_trace == objective

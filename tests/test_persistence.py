@@ -166,6 +166,25 @@ def test_unknown_model_kind(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("sigma", float("nan")), ("coef0", float("inf")), ("degree", 2.5)]
+)
+def test_kernel_parameters_a_fit_cannot_use_are_parse_errors(tmp_path, field, value):
+    path = tmp_path / "m.json"
+    save_model(kernel_model(), path)
+    doc = json.loads(path.read_text())
+    doc["kernel"][field] = value  # json writes NaN and Infinity
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=rf"{field} must be"):
+        load_model(path)
+
+
+def test_a_fractional_max_iters_is_a_parse_error(tmp_path):
+    path = rewrite(tmp_path, lambda d: d["hyperparameters"].update(max_iters=2.5))
+    with pytest.raises(ParseError, match="max_iters must be an integer"):
+        load_model(path)
+
+
 def test_non_finite_weights(tmp_path):
     def poison(d):
         d["W"][0][0] = 1e999  # json encodes this as Infinity
