@@ -2,9 +2,10 @@
 
 Each class hyperplane is fit against a shared implicit origin; class
 competition enters through a pairwise weight coupling that is either
-penalized or constrained, and likewise for the bias sum.  Training uses
-majorization-minimization with an exact quadratic surrogate of the hinge
-loss, in linear or kernel form.  Prediction assigns every class whose
+penalized or constrained, and likewise for the bias sum.  Training runs
+an interior-point method on the training QP, in linear or kernel form,
+which stops on its certificate of the optimum or returns its own iterate
+at the iteration cap.  Prediction assigns every class whose
 projection reaches the margin, with a winner-take-all fallback.
 
 The reference subgradient solver lives in ``ovnsvm.oracle`` and is

@@ -22,6 +22,7 @@ from .data import (
     load_csv,
     load_features,
     normalize_minmax,
+    read_table,
     synth_generate,
     unseen_label_test_partition,
     write_csv,
@@ -46,7 +47,7 @@ from .kernel import fit_kernel
 from .kernels import KernelSpec
 from .linear import ConstraintMode, Hyperparameters, fit_linear
 from .modelselect import GridSpec, grid_search_cv
-from .persistence import load_model, save_cv_report, save_model
+from .persistence import load_model, save_cv_report, save_model, write_json
 from .predict import evaluate, matrix_to_label_sets, predict_multilabel_matrix
 from .reproduce import TABLES, run_table
 
@@ -109,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
     p.add_argument("--label-prefix", default="label:")
     p.add_argument("--multiclass-column", default=None)
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -181,12 +181,11 @@ def _cmd_synth(args) -> int:
 
 
 def _load_training_csv(args):
-    data = load_csv(
+    return load_csv(
         args.data,
         label_prefix=args.label_prefix,
         multiclass_column=args.multiclass_column,
     )
-    return normalize_minmax(data) if args.normalize else data
 
 
 def _cmd_train(args) -> int:
@@ -278,19 +277,11 @@ def _cmd_predict(args) -> int:
 
 def _read_label_matrix(path, label_prefix: str, multiclass_column=None) -> np.ndarray:
     """Label sets from either a prediction CSV or a dataset CSV."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise MalformedCsv("empty file")
-    header = [h.strip() for h in rows[0]]
+    header, body = read_table(path)
     if "labels" in header:
         j = header.index("labels")
         out = []
-        for i, row in enumerate(rows[1:], start=1):
-            if len(row) != len(header):
-                raise MalformedCsv(
-                    f"row {i}: expected {len(header)} cells, got {len(row)}"
-                )
+        for i, row in enumerate(body, start=1):
             bits = row[j].strip()
             if not bits or any(ch not in "01" for ch in bits):
                 raise MalformedCsv(f"row {i}: bad label bitstring {bits!r}")
@@ -318,9 +309,7 @@ def _cmd_evaluate(args) -> int:
     )
     print(report.format_text())
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(report.as_dict(), args.json_out)
     return 0
 
 
@@ -356,6 +345,8 @@ def _grid_from_doc(doc: dict, seed_override) -> GridSpec:
 
 def _cmd_cv(args) -> int:
     data = _load_training_csv(args)
+    if args.normalize:
+        data = normalize_minmax(data)
     doc = {}
     if args.grid is not None:
         try:
@@ -380,9 +371,7 @@ def _cmd_reproduce(args) -> int:
     report = run_table(args.table, data_dir=args.data_dir)
     print(report.format_text())
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(report.as_dict(), args.json_out)
     return 0 if report.passed else 1
 
 

@@ -200,6 +200,32 @@ def _parse_label(cell, row_idx, col_name):
     return int(v)
 
 
+def _parse_columns(header, body, columns) -> np.ndarray:
+    # the numeric cells of the given columns, one row per body row
+    feats = np.zeros((len(body), len(columns)))
+    for i, row in enumerate(body, start=1):
+        for c, j in enumerate(columns):
+            feats[i - 1, c] = _parse_float(row[j], i, header[j])
+    return feats
+
+
+def read_table(path):
+    """Header and body rows of a CSV file, header cells stripped.
+
+    MalformedCsv on an empty file or a row whose width differs from the
+    header's.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise MalformedCsv("empty file")
+    header = [h.strip() for h in rows[0]]
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise MalformedCsv(f"row {i}: expected {len(header)} cells, got {len(row)}")
+    return header, rows[1:]
+
+
 def load_csv(
     path,
     label_prefix: str = "label:",
@@ -212,17 +238,8 @@ def load_csv(
     expanded one-hot, class names sorted lexicographically.  Features are
     returned as parsed; :func:`normalize_minmax` scales them to [0, 1].
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise MalformedCsv("empty file")
-    header = [h.strip() for h in rows[0]]
-    body = rows[1:]
+    header, body = read_table(path)
     width = len(header)
-    for i, row in enumerate(body, start=1):
-        if len(row) != width:
-            raise MalformedCsv(f"row {i}: expected {width} cells, got {len(row)}")
-
     if multiclass_column is not None:
         if multiclass_column not in header:
             raise NoLabels(f"multiclass column {multiclass_column!r} not found")
@@ -245,15 +262,8 @@ def load_csv(
                 labels[i - 1, c] = _parse_label(row[j], i, header[j])
         class_names = tuple(header[j][len(label_prefix):] for j in label_js)
 
-    feats = np.zeros((len(body), len(feat_js)))
-    for i, row in enumerate(body, start=1):
-        for c, j in enumerate(feat_js):
-            feats[i - 1, c] = _parse_float(row[j], i, header[j])
-
-    bad = np.flatnonzero(labels.sum(axis=1) == 0)
-    if bad.size:
-        raise EmptyLabelRow(f"row {int(bad[0]) + 1} has all-zero labels")
-
+    feats = _parse_columns(header, body, feat_js)
+    # Dataset rejects a row of all-zero labels
     return Dataset(feats, labels, class_names, tuple(header[j] for j in feat_js))
 
 
@@ -277,19 +287,8 @@ def load_features(path):
 
     Returns (features, feature_names).
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise MalformedCsv("empty file")
-    header = [h.strip() for h in rows[0]]
-    width = len(header)
-    feats = np.zeros((len(rows) - 1, width))
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != width:
-            raise MalformedCsv(f"row {i}: expected {width} cells, got {len(row)}")
-        for j in range(width):
-            feats[i - 1, j] = _parse_float(row[j], i, header[j])
-    return feats, tuple(header)
+    header, body = read_table(path)
+    return _parse_columns(header, body, range(len(header))), tuple(header)
 
 
 def _one_hot(column, n_classes):

@@ -24,7 +24,8 @@ class UnknownKind(OvnError):
 
 
 class TooFewInstances(OvnError):
-    """Fewer instances than folds requested."""
+    """Fewer instances than folds requested, or a fold whose training part
+    holds no positive pattern of some class."""
 
 
 # shape checks
@@ -78,4 +79,5 @@ class InvariantViolation(OvnError):
 
 
 class MaxItersExceeded(UserWarning):
-    """The MM loop hit its iteration cap; the best iterate is returned anyway."""
+    """The interior-point fit hit its iteration cap; its iterate there is
+    returned anyway."""

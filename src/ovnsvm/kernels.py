@@ -28,6 +28,8 @@ class KernelSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not isinstance(self.degree, numbers.Integral):
             raise ValueError(f"degree must be an integer, got {self.degree!r}")
+        # a numpy integer would not encode in a model document
+        object.__setattr__(self, "degree", int(self.degree))
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ValueError("sigma must be strictly positive")
         if self.kind == "polynomial" and self.degree < 1:

@@ -111,6 +111,8 @@ class Hyperparameters:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        # a numpy integer would not encode in a model document
+        object.__setattr__(self, "max_iters", int(self.max_iters))
 
 
 @dataclass

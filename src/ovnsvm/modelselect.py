@@ -27,6 +27,20 @@ def kfold_split(n: int, k: int, seed: int):
     return list(np.array_split(rng.permutation(n), k))
 
 
+def _check_folds(dataset: Dataset, folds) -> None:
+    # each fold's fit needs a positive pattern of every class in its
+    # training part, the rows outside the fold
+    totals = dataset.labels.sum(axis=0)
+    for f, fold in enumerate(folds):
+        missing = np.flatnonzero(dataset.labels[fold].sum(axis=0) == totals)
+        if missing.size:
+            raise TooFewInstances(
+                f"class {dataset.class_names[missing[0]]!r} has no positive "
+                f"pattern outside fold {f + 1} of {len(folds)}, so that fold "
+                "cannot be trained"
+            )
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Hyperparameter grid; defaults are the documented search ranges."""
@@ -170,9 +184,10 @@ def grid_search_cv(
     """Cross-validated grid search; selection criterion is mean fold accuracy.
 
     Tuples whose reduced Hessian is indefinite are recorded as infeasible
-    and skipped.  Every fit runs in turn in the calling process, in
-    enumeration order, so the report is deterministic for fixed
-    (dataset, grid).
+    and skipped.  A fold whose training part has no positive pattern of
+    some class raises TooFewInstances before any fit.  Every fit runs in
+    turn in the calling process, in enumeration order, so the report is
+    deterministic for fixed (dataset, grid).
 
     ``n_jobs`` must be 1; any other value raises ``ValueError``.  It is
     kept only for callers that still pass ``n_jobs=1`` and goes in the
@@ -185,6 +200,7 @@ def grid_search_cv(
     if n_jobs != 1:
         raise ValueError(f"n_jobs must be 1, got {n_jobs!r}")
     folds = kfold_split(dataset.n_instances, grid.n_folds, grid.seed)
+    _check_folds(dataset, folds)
     results = [
         _evaluate_tuple(dataset, folds, p, grid, task, solver)
         for p in _enumerate_tuples(grid, solver)

@@ -1,8 +1,8 @@
 """Projected subgradient reference solver.
 
 An independent brute-force minimizer of the original (un-majorized)
-training objective, used only to certify the MM solvers on desk-scale
-instances.  Hard constraints are enforced by exact Euclidean projection
+training objective, used only to certify the interior-point fits of the
+linear and kernel solvers on desk-scale instances.  Hard constraints are enforced by exact Euclidean projection
 after every step: subtracting the class mean of the weight rows enforces
 the zero weight sum, subtracting the mean bias enforces the zero bias sum.
 

@@ -52,12 +52,22 @@ def save_model(model, path) -> None:
         doc["K"] = int(model.W.shape[0])
         doc["M"] = int(model.W.shape[1])
         doc["W"] = model.W.tolist()
+    write_json(doc, path)
+
+
+def write_json(doc, path) -> None:
+    """Write doc as an indented JSON document ending in a newline.
+
+    The whole document is encoded before the file is opened, so a value
+    JSON cannot encode raises TypeError and leaves any file at path as it
+    was.  A filesystem failure raises IoError.
+    """
+    text = json.dumps(doc, indent=1) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
     except OSError as e:
-        raise IoError(f"cannot write model file: {e}") from e
+        raise IoError(f"cannot write JSON file: {e}") from e
 
 
 def _need(doc, key):
@@ -146,9 +156,4 @@ def load_model(path):
 
 def save_cv_report(report, path) -> None:
     """Write a CVReport as JSON."""
-    try:
-        with open(path, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=1)
-            fh.write("\n")
-    except OSError as e:
-        raise IoError(f"cannot write report file: {e}") from e
+    write_json(report.as_dict(), path)

@@ -37,9 +37,8 @@ from ovnsvm.reproduce import (
     T4_GAUSSIAN_GRID,
     T4_LINEAR_GRID,
     T5_GAUSSIAN_GRID,
-    T5_MAX_INSTANCES,
-    _load_multiclass,
-    _load_multilabel,
+    _capped,
+    _load,
     run_t3,
     run_unseen,
 )
@@ -225,7 +224,7 @@ def test_criterion_07_unseen_label_combination_table():
 
 def _multiclass_band(name, solver, grid_args, floor):
     try:
-        data = _load_multiclass(name, DATA_DIR)
+        data = _load(name, DATA_DIR, multiclass=True)
     except IoError as e:
         pytest.skip(str(e))
     started = time.perf_counter()
@@ -265,14 +264,9 @@ def test_criterion_08_band_glass_gaussian():
 
 def _multilabel_cv(name):
     try:
-        data = _load_multilabel(name, DATA_DIR)
+        data = _capped(_load(name, DATA_DIR, multiclass=False))
     except IoError as e:
         pytest.skip(str(e))
-    if data.n_instances > T5_MAX_INSTANCES:
-        keep = np.sort(
-            np.random.default_rng(0).permutation(data.n_instances)[:T5_MAX_INSTANCES]
-        )
-        data = data.subset(keep)
     started = time.perf_counter()
     with quiet_max_iters():
         cv = grid_search_cv(

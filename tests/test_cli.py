@@ -222,6 +222,22 @@ def test_cv_grid_file_may_set_every_grid_field(tmp_path):
     assert run(*argv) == 2
 
 
+def test_cv_keeps_its_normalize_option(tmp_path):
+    data = tmp_path / "train.csv"
+    run("synth", "--kind", "random_two_class", "--n-per-cluster", "12", "--out", str(data))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"alphas": [0.5], "betas": [1.0, 10.0]}))
+    report = tmp_path / "cv.json"
+    argv = ("cv", "--data", str(data), "--grid", str(grid), "--json-out", str(report))
+    assert run(*argv, "--normalize") == 0
+    with quiet_max_iters():
+        expected = ovnsvm.grid_search_cv(
+            ovnsvm.normalize_minmax(ovnsvm.load_csv(data)),
+            ovnsvm.GridSpec(alphas=(0.5,), betas=(1.0, 10.0)),
+        )
+    assert json.loads(report.read_text()) == expected.as_dict()
+
+
 def test_reproduce_unseen_passes(tmp_path, capsys):
     report = tmp_path / "unseen.json"
     assert run("reproduce", "--table", "unseen", "--json-out", str(report)) == 0
@@ -317,6 +333,36 @@ class TestExitCodes:
         )
         assert code == 2
         assert not (tmp_path / "m.json").exists()
+
+    def test_train_has_no_normalize_option(self, tmp_path):
+        # a model file does not store the scaling, so predict would score
+        # the unscaled features
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        run("synth", "--kind", "moon", "--out", str(data))
+        code = run("train", "--data", str(data), "--normalize", "--model-out", str(model))
+        assert code == 2
+        assert not model.exists()
+
+    def test_a_fold_that_cannot_train_a_class_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        rows = [f"{i / 10},{(i * 7) % 5},{int(i < 15)},{int(i >= 15)},{int(i == 7)}"
+                for i in range(30)]
+        data.write_text("\n".join(["x,y,label:a,label:b,label:c"] + rows) + "\n")
+        assert run("cv", "--data", str(data)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("TooFewInstances: class 'c' has no positive pattern")
+
+    @pytest.mark.parametrize("command", ["evaluate", "reproduce"])
+    def test_an_unwritable_json_out_is_a_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        run("synth", "--kind", "moon", "--out", str(data))
+        argv = {
+            "evaluate": ("evaluate", "--pred", str(data), "--truth", str(data)),
+            "reproduce": ("reproduce", "--table", "unseen"),
+        }[command]
+        out = tmp_path / "missing_dir" / "r.json"
+        assert run(*argv, "--json-out", str(out)) == 3
+        assert "IoError: cannot write JSON file" in capsys.readouterr().err
 
     def test_corrupt_model_document(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -19,10 +19,12 @@ from ovnsvm import (
     unseen_label_test_partition,
     write_csv,
 )
+from ovnsvm.cli import _read_label_matrix
 from ovnsvm.data import (
     SYNTH_KINDS,
     UNSEEN_TOY_TEST_LABELS,
     UNSEEN_TOY_TEST_POINTS,
+    read_table,
 )
 
 
@@ -196,6 +198,34 @@ class TestCsv:
         path.write_text("u\noops\n")
         with pytest.raises(MalformedCsv):
             load_features(path)
+
+
+class TestReadTable:
+    def test_header_cells_are_stripped_and_body_cells_kept(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(" u , v\n1.0, 2.0\n")
+        assert read_table(path) == (["u", "v"], [["1.0", " 2.0"]])
+
+    def test_a_header_alone_has_an_empty_body(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("u,v\n")
+        assert read_table(path) == (["u", "v"], [])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty file"), ("x,labels\n1,01\n2\n", "row 2: expected 2 cells, got 1")],
+    )
+    def test_every_csv_reader_rejects_the_same_files_alike(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        for read in (
+            read_table,
+            load_csv,
+            load_features,
+            lambda p: _read_label_matrix(p, "label:"),
+        ):
+            with pytest.raises(MalformedCsv, match=f"^{message}$"):
+                read(path)
 
 
 class TestSynth:

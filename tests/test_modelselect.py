@@ -149,6 +149,19 @@ class TestGridSearch:
         with pytest.raises(AllTuplesInfeasible):
             grid_search_cv(d, tiny_grid(alphas=(50.0,), betas=(1e-3,)))
 
+    def test_a_fold_whose_training_part_lacks_a_class_is_a_data_error(self):
+        # class c3's one positive lies in one fold, whose training part
+        # then holds none
+        labels = np.zeros((30, 3), dtype=np.int64)
+        labels[:15, 0] = labels[15:, 1] = 1
+        labels[7, 2] = 1
+        d = Dataset(np.random.default_rng(6).standard_normal((30, 2)), labels)
+        fold = next(f for f, idx in enumerate(kfold_split(30, 3, 0)) if 7 in idx)
+        message = f"class 'c3' has no positive pattern outside fold {fold + 1} of 3"
+        for solver in ("linear", "kernel"):
+            with pytest.raises(TooFewInstances, match=message):
+                grid_search_cv(d, tiny_grid(), solver=solver)
+
     def test_argument_validation(self):
         d = random_multilabel(np.random.default_rng(5), 9, 2, 2)
         with pytest.raises(ValueError, match="task"):

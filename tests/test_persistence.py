@@ -22,7 +22,7 @@ from ovnsvm import (
     save_cv_report,
     save_model,
 )
-from ovnsvm.persistence import FORMAT_VERSION
+from ovnsvm.persistence import FORMAT_VERSION, write_json
 
 
 def linear_model(seed=0, mode=ConstraintMode("soft", "hard")):
@@ -110,6 +110,31 @@ def test_unserializable_object_rejected(tmp_path):
 def test_write_failure_becomes_io_error(tmp_path):
     with pytest.raises(IoError):
         save_model(linear_model(), tmp_path / "missing_dir" / "m.json")
+
+
+def test_numpy_integer_parameters_round_trip(tmp_path):
+    hp = Hyperparameters(max_iters=np.int64(60))
+    spec = KernelSpec(kind="polynomial", degree=np.int64(2))
+    assert type(hp.max_iters) is int and type(spec.degree) is int
+    d = random_multilabel(np.random.default_rng(0), 8, 2, 2)
+    with quiet_max_iters():
+        model = fit_kernel(d, spec, ConstraintMode("soft", "hard"), hp)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert (back.hyperparameters, back.kernel) == (hp, spec)
+    np.testing.assert_array_equal(
+        back.decision_scores(d.features), model.decision_scores(d.features)
+    )
+
+
+def test_a_document_that_fails_to_encode_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(linear_model(), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json({"W": [[1.0]], "note": object()}, path)
+    assert path.read_bytes() == before
 
 
 def test_missing_file(tmp_path):
