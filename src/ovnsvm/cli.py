@@ -204,9 +204,9 @@ def _cmd_train(args) -> int:
         spec = KernelSpec(
             kind=kind, sigma=args.sigma, degree=args.degree, coef0=args.coef0
         )
-        model = fit_kernel(data, spec, mode, hp)
+        model = fit_kernel(data, spec, mode, hp, traces=False)
     else:
-        model = fit_linear(data, mode, hp)
+        model = fit_linear(data, mode, hp, traces=False)
     save_model(model, args.model_out)
     print(
         f"trained {args.solver} model: iterations={model.iterations_used} "

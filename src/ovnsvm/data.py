@@ -9,7 +9,7 @@ positive index sets C_k drive both solvers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,6 +70,18 @@ def finite_features(X) -> np.ndarray:
             f"row {i + 1}, column {j + 1}: non-finite feature {float(cells[i, j])}"
         )
     return X
+
+
+def _plain_scalars(spec) -> None:
+    """Replace the numpy scalars among a frozen dataclass's fields by the
+    Python numbers they hold, which a model document can encode.
+
+    Python ints and floats are kept as they are, so a saved 10 stays 10.
+    """
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, np.generic):
+            object.__setattr__(spec, f.name, value.item())
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ class UnknownKind(OvnError):
 
 
 class TooFewInstances(OvnError):
-    """Fewer instances than folds requested, or a fold whose training part
-    holds no positive pattern of some class."""
+    """Fewer instances than folds requested, or training data (a whole set
+    or a fold's training part) that holds no positive pattern of some
+    class."""
 
 
 # shape checks

@@ -171,6 +171,8 @@ def fit_kernel(
     kernel: KernelSpec,
     mode: ConstraintMode,
     hp: Hyperparameters,
+    *,
+    traces: bool = True,
 ) -> TrainedKernelModel:
     """Fit the kernel model with the interior-point fit of the linear solver.
 
@@ -181,6 +183,10 @@ def fit_kernel(
     mode : ConstraintMode
     hp : Hyperparameters
         ``hp.alpha`` is the coupling coefficient of soft-w modes.
+    traces : bool
+        As in :func:`ovnsvm.linear.fit_linear`: False returns the same
+        model with empty ``surrogate_trace`` and ``hinge_trace`` and runs
+        no MM solve.
 
     Returns
     -------
@@ -195,21 +201,25 @@ def fit_kernel(
     The fit is the linear fit (:func:`ovnsvm.linear._minimize`) on the
     rows of the pivoted Cholesky factor R of the Gram matrix: the
     interior-point method, whose iterate is the model and on which
-    ``interior_point`` reports, with plain MM beside it for the traces.  It
-    stops as that fit does, on the method's certificate ("gap"), on a step
-    of the method that raised ("stall") or at the cap ("cap"), as
-    ``stop_reason`` says.  On an edge of the coupling window the Gram
-    factor usually leaves coupling null directions without hinge
-    curvature; the edge term of the linear fit keeps both the MM and the
-    Newton systems regular there.  The coefficients A are the pivot
-    patterns' part of the same weights, so the model file and the scoring
-    path are those of a full kernel model.
+    ``interior_point`` reports.  It stops as that fit does, on the
+    method's certificate ("gap"), on a step of the method that raised
+    ("stall") or at the cap ("cap"), as ``stop_reason`` says.  With
+    ``traces`` plain MM then runs on the same rows for the traces
+    (:func:`ovnsvm.linear._mm_traces`), and an error of its solve
+    propagates.  On an edge of the coupling window the Gram factor usually
+    leaves coupling null directions without hinge curvature; the edge term
+    of the linear fit keeps both the MM and the Newton systems regular
+    there.  The coefficients A are the pivot patterns' part of the same
+    weights, so the model file and the scoring path are those of a full
+    kernel model.
     """
     sets = dataset.class_index_sets()
-    _validate_fit_inputs(sets, mode, hp)
+    _validate_fit_inputs(sets, dataset.class_names, mode, hp)
     G = gram(kernel, dataset.features)
     parts, L, pivots = _kernel_parts(sets, G, mode, hp)
     run = _minimize(parts, hp)
+    if traces:
+        run.add_traces(parts, hp)
     r = len(pivots)
     # w_k = L' a_k on the pivot coefficients a_k, with L = R[pivots]
     A = np.zeros((len(sets), dataset.n_instances))

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _plain_scalars
 from .errors import DimensionMismatch
 
 
@@ -20,6 +21,7 @@ class KernelSpec:
     coef0: float = 1.0
 
     def __post_init__(self):
+        _plain_scalars(self)
         if self.kind not in ("linear", "gaussian", "polynomial"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         # NaN passes the sign checks below, and the fit would fail in its solves
@@ -28,8 +30,6 @@ class KernelSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not isinstance(self.degree, numbers.Integral):
             raise ValueError(f"degree must be an integer, got {self.degree!r}")
-        # a numpy integer would not encode in a model document
-        object.__setattr__(self, "degree", int(self.degree))
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ValueError("sigma must be strictly positive")
         if self.kind == "polynomial" and self.degree < 1:

@@ -7,14 +7,14 @@ pairwise coupling between classes is either penalized (soft) or constrained
 
 The fit is an interior-point method on the training QP, which ends on its
 certificate of the optimum and whose iterate is the model (``_minimize``,
-which the kernel solver runs too).  Beside it runs a plain MM iteration,
-a KKT solve of the quadratic surrogate problem in the stacked augmented
-weights alternating with the closed-form auxiliary update, whose only
-output is its descent trace.  Classes meet only through the sum of their
-weight vectors, so each Newton or surrogate system takes one small
-Cholesky factor per class and one system in the shared sum
-(``_factor_blocks``); ``assemble`` and ``solve_kkt`` keep the dense
-system as the reference.
+which the kernel solver runs too).  A fit that returns traces then runs
+a plain MM iteration, a KKT solve of the quadratic surrogate problem in
+the stacked augmented weights alternating with the closed-form auxiliary
+update, whose only output is its descent trace (``_mm_traces``).
+Classes meet only through the sum of their weight vectors, so each
+Newton or surrogate system takes one small Cholesky factor per class and
+one system in the shared sum (``_factor_blocks``); ``assemble`` and
+``solve_kkt`` keep the dense system as the reference.
 
 The functional the solver minimizes, which ``training_objective``
 evaluates and every fit reports as ``final_objective``, is
@@ -41,8 +41,14 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dpotrf, dtrtri
 
-from .data import Dataset, augment_rows, finite_features
-from .errors import DimensionMismatch, HessianNotPD, MaxItersExceeded, SingularSystem
+from .data import Dataset, _plain_scalars, augment_rows, finite_features
+from .errors import (
+    DimensionMismatch,
+    HessianNotPD,
+    MaxItersExceeded,
+    SingularSystem,
+    TooFewInstances,
+)
 from .majorization import DEFAULT_EPSILON, MMState, hinge, majorizer
 
 _MODE_TOKENS = {
@@ -97,6 +103,7 @@ class Hyperparameters:
     tol: float = 1e-8
 
     def __post_init__(self):
+        _plain_scalars(self)
         # NaN passes every comparison below, and inf breaks the solves
         for name in ("alpha", "beta", "gamma", "epsilon", "tol"):
             if not np.isfinite(getattr(self, name)):
@@ -111,8 +118,6 @@ class Hyperparameters:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        # a numpy integer would not encode in a model document
-        object.__setattr__(self, "max_iters", int(self.max_iters))
 
 
 @dataclass
@@ -121,8 +126,10 @@ class TrainedLinearModel:
 
     (W, b) is the iterate of the interior-point method that fits it.
     ``surrogate_trace`` holds the surrogate objective after every weight
-    solve of the MM iteration run beside that method (non-increasing);
+    solve of the plain MM iteration that a fit with ``traces=True`` runs
+    once the method has stopped (non-increasing; :func:`_mm_traces`);
     ``hinge_trace`` holds the training objective at the same MM iterates.
+    Both are empty for a fit with ``traces=False`` and a loaded model.
     ``kkt_residual`` is the method's relative stationarity residual at
     (W, b).  ``final_objective`` is the minimized functional at (W, b),
     :func:`training_objective`.  ``interior_point`` says how the method
@@ -560,10 +567,10 @@ def feasibility(W, b) -> dict:
     }
 
 
-def _validate_fit_inputs(sets, mode, hp):
-    for k, idx in enumerate(sets):
+def _validate_fit_inputs(sets, class_names, mode, hp):
+    for name, idx in zip(class_names, sets):
         if idx.size == 0:
-            raise ValueError(f"class {k} has no positive patterns")
+            raise TooFewInstances(f"class {name!r} has no positive pattern")
     K = len(sets)
     # a negative eigenvalue of the coupling leaves the objective unbounded
     # below, whatever the data
@@ -592,6 +599,12 @@ class _FitRun:
         """The models' diagnostic fields, ``converged`` read off ``stop_reason``."""
         out = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
         return dict(out, converged=self.stop_reason != "cap")
+
+    def add_traces(self, parts: _FixedParts, hp: Hyperparameters) -> None:
+        """Fill the traces from :func:`_mm_traces`, one MM iteration per step
+        of the method but the step that ended the fit (every step at the cap)."""
+        n = self.iterations_used - (self.stop_reason != "cap")
+        self.surrogate_trace, self.hinge_trace = _mm_traces(parts, hp, n)
 
 
 def _to_boundary(xs, dxs, frac):
@@ -740,36 +753,12 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _FitRun:
     (gap and stationarity within ``hp.tol``, ``stop_reason`` "gap"), on
     the method's step raising HessianNotPD or SingularSystem ("stall"; a
     raise on the first step propagates) or at ``hp.max_iters`` ("cap"),
-    with a MaxItersExceeded warning.
-
-    Beside it runs a plain MM iteration, which the method never reads and
-    whose only output is its descent trace.  Each MM iteration solves the
-    surrogate at the current auxiliaries for w_t by class blocks
-    (:func:`_factor_blocks`): K Cholesky factors of order P and one P x P
-    system in the class sum, K P^3 + O(P^3) flops against (K P)^3 / 3 for
-    the dense factor.  It then re-anchors the bound at w_t, z = max(|1 -
-    u|, epsilon), so the next surrogate value is at most F_t and the trace
-    does not rise.  A block that is not positive definite raises
-    HessianNotPD naming its class; non-finite entries or a singular shared
-    system raise SingularSystem, and these propagate from the MM solve too.
-    On an edge of the coupling window the surrogate can be flat along
-    coupling null directions (``parts.flat``) that the hinge terms do not
-    curve.  Each solve there adds the proximal term of
-    :meth:`_FixedParts.blocks` around the last MM iterate w_a, where z is
-    tight (w = 0 for the initial z = 1).  The sum still majorizes the
-    objective, is tight at w_a and has a positive definite 2H, so the
-    bound chain holds; the interior-point Newton system carries the same
-    term.
-
-    The method steps first in each iteration, and no MM solve follows the
-    step that ends the fit, so the traces hold ``iterations_used - 1`` MM
-    iterates, or ``iterations_used`` at the cap.
+    with a MaxItersExceeded warning.  Each step solves its Newton system
+    by class blocks (:func:`_factor_blocks`), so the fit factors
+    ``iterations_used`` systems.  The traces come back empty; a fit that
+    returns them fills them from :func:`_mm_traces` afterwards.
     """
-    beta = hp.beta
-    state = MMState.fresh([A_k.shape[0] for A_k in parts.rows], hp.epsilon)
     ipm = _InteriorPoint(parts, hp)
-    hinge_trace: list = []
-    w = np.zeros_like(ipm.w)  # the last MM iterate, at which the auxiliaries are tight
     stop_reason, iterations = "cap", hp.max_iters
     for t in range(1, hp.max_iters + 1):  # Hyperparameters keeps max_iters >= 1
         if ipm.step():
@@ -778,6 +767,45 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _FitRun:
         if ipm.outcome is not None:  # its step raised
             stop_reason, iterations = "stall", t
             break
+    if stop_reason == "cap":
+        warnings.warn(
+            f"fit stopped at max_iters={hp.max_iters} before the interior-point "
+            "certificate held",
+            MaxItersExceeded,
+            stacklevel=3,
+        )
+    return _FitRun(ipm.w, iterations, ipm.residual, [], [], ipm.status(), stop_reason)
+
+
+def _mm_traces(parts: _FixedParts, hp: Hyperparameters, n: int):
+    """The descent traces of ``n`` plain MM iterations: (surrogate, hinge).
+
+    The paper's majorize-minimize iteration, which no fit reads for its
+    model.  Each iteration solves the surrogate at the current auxiliaries
+    for w_t by class blocks (:func:`_factor_blocks`): K Cholesky factors
+    of order P and one P x P system in the class sum, K P^3 + O(P^3) flops
+    against (K P)^3 / 3 for the dense factor.  It then re-anchors the bound
+    at w_t, z = max(|1 - u|, epsilon), so the next surrogate value is at
+    most F_t and the trace does not rise.  The solve raises as the Newton
+    solves do: HessianNotPD naming a class whose block is not positive
+    definite, SingularSystem on non-finite entries or a singular shared
+    system.  On an edge of the coupling window the surrogate can be flat
+    along coupling null directions (``parts.flat``) that the hinge terms do
+    not curve.  Each solve there adds the proximal term of
+    :meth:`_FixedParts.blocks` around the last MM iterate w_a, where z is
+    tight (w = 0 for the initial z = 1).  The sum still majorizes the
+    objective, is tight at w_a and has a positive definite 2H, so the
+    bound chain holds.
+
+    A fit with traces runs it once the method has stopped
+    (:meth:`_FitRun.add_traces`), so its traces are those MM would have left
+    stepping beside the method, which never read MM state.
+    """
+    beta = hp.beta
+    state = MMState.fresh([A_k.shape[0] for A_k in parts.rows], hp.epsilon)
+    hinge_trace: list = []
+    w = np.zeros((len(parts.rows), parts.metric.shape[0]))  # the last MM iterate
+    for _ in range(n):
         blocks, rhs, shared = parts.blocks(state.z, w)
         w, _ = _factor_blocks(blocks, shared, parts.hard, parts.note)(rhs)
         u = parts.project(w)
@@ -787,21 +815,11 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _FitRun:
         )
         hinge_trace.append(reg + beta * float(np.sum(hinge(u))))
         state.update([u[c] for c in parts.slices])
-    if stop_reason == "cap":
-        warnings.warn(
-            f"fit stopped at max_iters={hp.max_iters} before the interior-point "
-            "certificate held",
-            MaxItersExceeded,
-            stacklevel=3,
-        )
-    return _FitRun(
-        ipm.w, iterations, ipm.residual, state.objective_trace, hinge_trace, ipm.status(),
-        stop_reason,
-    )
+    return state.objective_trace, hinge_trace
 
 
 def fit_linear(
-    dataset: Dataset, mode: ConstraintMode, hp: Hyperparameters
+    dataset: Dataset, mode: ConstraintMode, hp: Hyperparameters, *, traces: bool = True
 ) -> TrainedLinearModel:
     """Fit the linear model by the interior-point method of :func:`_minimize`.
 
@@ -811,6 +829,11 @@ def fit_linear(
         Training data; every class needs at least one positive pattern.
     mode : ConstraintMode
     hp : Hyperparameters
+    traces : bool
+        Whether to fill ``surrogate_trace`` and ``hinge_trace`` by plain MM
+        (:func:`_mm_traces`) after the method stops.  False gives the same
+        model with empty traces, and factors ``iterations_used`` systems in
+        place of about twice as many.
 
     Returns
     -------
@@ -818,6 +841,8 @@ def fit_linear(
 
     Raises
     ------
+    TooFewInstances
+        If a class has no positive pattern.
     HessianNotPD
         If ``hp.alpha`` is outside -2/(K-1) <= alpha <= 2 in soft-w modes
         (checked before any factorization), or the block of a class in a
@@ -825,18 +850,24 @@ def fit_linear(
     SingularSystem
         If a Newton or surrogate system has non-finite entries or its
         shared system in the class sum is singular to working precision.
+        An error of a surrogate (MM) solve propagates from a fit with
+        traces once the method has stopped; a fit without traces runs no
+        MM solve.
 
     Notes
     -----
-    Runs the shared fit of :func:`_minimize`, which says how it ends and
-    what the traces hold; (W, b) is the interior-point iterate, and
-    ``stop_reason`` and the model's ``interior_point`` record the end.  At
-    ``hp.max_iters`` ("cap") the model has ``converged=False`` and a
-    MaxItersExceeded warning is issued.
+    Runs the shared fit of :func:`_minimize`, which says how it ends;
+    (W, b) is the interior-point iterate, and ``stop_reason`` and the
+    model's ``interior_point`` record the end.  At ``hp.max_iters``
+    ("cap") the model has ``converged=False`` and a MaxItersExceeded
+    warning is issued.
     """
     sets = dataset.class_index_sets()
-    _validate_fit_inputs(sets, mode, hp)
-    run = _minimize(_linear_parts(dataset.features, sets, mode, hp), hp)
+    _validate_fit_inputs(sets, dataset.class_names, mode, hp)
+    parts = _linear_parts(dataset.features, sets, mode, hp)
+    run = _minimize(parts, hp)
+    if traces:
+        run.add_traces(parts, hp)
     M = dataset.n_features
     W, b = run.w[:, :M].copy(), run.w[:, M].copy()
     return TrainedLinearModel(

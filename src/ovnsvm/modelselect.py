@@ -139,8 +139,8 @@ def _fit_for_params(train: Dataset, params: dict, grid: GridSpec, solver: str):
             degree=params.get("degree", 2),
             coef0=grid.coef0,
         )
-        return fit_kernel(train, spec, mode, hp)
-    return fit_linear(train, mode, hp)
+        return fit_kernel(train, spec, mode, hp, traces=False)
+    return fit_linear(train, mode, hp, traces=False)
 
 
 def _score_fold(model, test: Dataset, task: str):
@@ -187,7 +187,9 @@ def grid_search_cv(
     and skipped.  A fold whose training part has no positive pattern of
     some class raises TooFewInstances before any fit.  Every fit runs in
     turn in the calling process, in enumeration order, so the report is
-    deterministic for fixed (dataset, grid).
+    deterministic for fixed (dataset, grid).  The fold fits run with
+    ``traces=False``: the report reads no trace, so they run no MM solve,
+    and each factors only its ``iterations_used`` Newton systems.
 
     ``n_jobs`` must be 1; any other value raises ``ValueError``.  It is
     kept only for callers that still pass ``n_jobs=1`` and goes in the

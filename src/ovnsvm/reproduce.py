@@ -226,7 +226,7 @@ def run_unseen(data_dir=None) -> TableReport:
         max_iters=UNSEEN_MAX_ITERS,
         tol=UNSEEN_TOL,
     )
-    model = fit_linear(train, ConstraintMode.from_token(UNSEEN_MODE), hp)
+    model = fit_linear(train, ConstraintMode.from_token(UNSEEN_MODE), hp, traces=False)
     test = unseen_label_test_partition()
     pred = predict_multilabel_matrix(model.decision_scores(test.features))
     for i in range(test.n_instances):
@@ -287,7 +287,7 @@ def run_t3(data_dir=None) -> TableReport:
             max_iters=T3_MAX_ITERS,
             tol=T3_TOL,
         )
-        model = fit_kernel(data, spec, ConstraintMode("soft", "hard"), hp)
+        model = fit_kernel(data, spec, ConstraintMode("soft", "hard"), hp, traces=False)
         acc = _training_accuracy(model, data)
         gating = rec["gating"]
         report.rows.append(

@@ -321,6 +321,19 @@ class TestExitCodes:
         assert not pred.exists()
         assert "for a model of 2 features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["linear", "kernel"])
+    def test_a_class_with_no_positive_is_a_data_error(self, tmp_path, capsys, solver):
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        data.write_text(
+            "x,y,label:a,label:b,label:c\n0,0,1,0,0\n1,1,0,1,0\n0,1,1,0,0\n1,0,0,1,0\n"
+        )
+        code = run("train", "--data", str(data), "--solver", solver, "--model-out", str(model))
+        assert code == 3
+        assert not model.exists()
+        assert capsys.readouterr().err.startswith(
+            "TooFewInstances: class 'c' has no positive pattern"
+        )
+
     @pytest.mark.parametrize(
         "flag, value", [("--sigma", "nan"), ("--sigma", "inf"), ("--coef0", "nan")]
     )

@@ -27,6 +27,7 @@ from ovnsvm import (
     MMState,
     SingularSystem,
     KernelSpec,
+    TooFewInstances,
     assemble,
     assemble_kernel,
     feasibility,
@@ -614,7 +615,7 @@ class TestFit:
 
     def test_empty_class_rejected(self):
         d = Dataset([[1.0], [2.0]], [[1, 0], [1, 0]])
-        with pytest.raises(ValueError, match="class 1"):
+        with pytest.raises(TooFewInstances, match="class 'c2' has no positive pattern"):
             fit_linear(d, ConstraintMode("soft", "hard"), Hyperparameters())
 
     def test_soft_b_needs_positive_gamma(self):
@@ -813,7 +814,7 @@ _CONTRACT_FITS = [("sw-sb", 1.0), ("sw-hb", 1.0), ("hw-sb", 1.0), ("hw-hb", 1.0)
                   ("sw-hb", 2.0), ("gaussian", 0.5)]
 
 
-def _contract_fit(solver, alpha, max_iters):
+def _contract_fit(solver, alpha, max_iters, traces=True):
     # the fitted model and the fixed parts of its fit; a gaussian fit also
     # gives the map from the weights on the Gram factor to A
     d = random_multilabel(np.random.default_rng(13), 60, 4, 3)
@@ -821,7 +822,7 @@ def _contract_fit(solver, alpha, max_iters):
     with quiet_max_iters():
         if solver == "gaussian":
             mode, spec = ConstraintMode("soft", "hard"), KernelSpec(kind="gaussian", sigma=0.8)
-            model = fit_kernel(d, spec, mode, hp)
+            model = fit_kernel(d, spec, mode, hp, traces=traces)
             G = gram(spec, d.features)
             parts, L, pivots = _kernel_parts(d.class_index_sets(), G, mode, hp)
             r = len(pivots)
@@ -833,7 +834,7 @@ def _contract_fit(solver, alpha, max_iters):
 
             return model, parts, hp, weights, (model.A, model.b)
         mode = ConstraintMode.from_token(solver)
-        model = fit_linear(d, mode, hp)
+        model = fit_linear(d, mode, hp, traces=traces)
         parts = _linear_parts(d.features, d.class_index_sets(), mode, hp)
         M = d.n_features
         return model, parts, hp, lambda w: (w[:, :M], w[:, M]), (model.W, model.b)
@@ -883,3 +884,59 @@ def test_the_traces_are_those_of_plain_mm(solver, alpha, max_iters):
     surrogate, objective = _plain_mm_traces(parts, hp, n)
     assert model.surrogate_trace == surrogate
     assert model.hinge_trace == objective
+
+
+@pytest.mark.parametrize("max_iters", [500, 1], ids=["certified", "cap"])
+@pytest.mark.parametrize("solver, alpha", _CONTRACT_FITS)
+def test_a_fit_without_traces_returns_the_same_model(solver, alpha, max_iters):
+    # the method reads no MM state, so leaving MM out changes nothing but
+    # the traces
+    full = _contract_fit(solver, alpha, max_iters)[0]
+    bare = _contract_fit(solver, alpha, max_iters, traces=False)[0]
+    assert full.stop_reason == ("gap" if max_iters == 500 else "cap")
+    assert len(full.surrogate_trace) > 0
+    weights = ("A",) if solver == "gaussian" else ("W",)
+    for name in (*weights, "b"):
+        assert np.array_equal(getattr(bare, name), getattr(full, name))
+    for name in ("iterations_used", "stop_reason", "final_objective", "kkt_residual",
+                 "interior_point", "converged"):
+        assert getattr(bare, name) == getattr(full, name)
+    assert bare.surrogate_trace == [] and bare.hinge_trace == []
+
+
+@pytest.mark.parametrize("solver", ["linear", "gaussian"])
+def test_a_certified_fit_without_traces_factors_one_system_per_iteration(
+    solver, monkeypatch
+):
+    # one Newton system per step, and no MM system at all
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _factor_blocks(*args)
+
+    monkeypatch.setattr(ovnsvm.linear, "_factor_blocks", counted)
+    d = random_multilabel(np.random.default_rng(17), 30, 3, 3)
+    mode, hp = ConstraintMode("soft", "hard"), Hyperparameters()
+    if solver == "linear":
+        model = fit_linear(d, mode, hp, traces=False)
+    else:
+        model = fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp, traces=False)
+    assert model.stop_reason == "gap"
+    assert len(calls) == model.iterations_used
+
+
+@pytest.mark.parametrize("traces", [True, False])
+@pytest.mark.parametrize("solver", ["linear", "gaussian"])
+def test_the_cap_warning_points_at_the_callers_line(solver, traces):
+    d = random_multilabel(np.random.default_rng(23), 20, 3, 2)
+    mode, hp = ConstraintMode("soft", "hard"), Hyperparameters(max_iters=1)
+    spec = KernelSpec(kind="gaussian")
+    with pytest.warns(MaxItersExceeded) as record:
+        if solver == "linear":
+            line = sys._getframe().f_lineno + 1
+            fit_linear(d, mode, hp, traces=traces)
+        else:
+            line = sys._getframe().f_lineno + 1
+            fit_kernel(d, spec, mode, hp, traces=traces)
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import ovnsvm.linear
+import ovnsvm.modelselect
 from conftest import random_multiclass, random_multilabel
 from ovnsvm import (
     AllTuplesInfeasible,
@@ -18,6 +20,7 @@ from ovnsvm import (
     ovr_baseline_fit,
     synth_generate,
 )
+from ovnsvm.linear import _factor_blocks
 from ovnsvm.modelselect import _enumerate_tuples
 
 
@@ -161,6 +164,27 @@ class TestGridSearch:
         for solver in ("linear", "kernel"):
             with pytest.raises(TooFewInstances, match=message):
                 grid_search_cv(d, tiny_grid(), solver=solver)
+
+    @pytest.mark.parametrize("solver", ["linear", "kernel"])
+    def test_fold_fits_skip_the_traces_and_nothing_else(self, solver, monkeypatch):
+        # the report equals that of fold fits with traces, and each fold fit
+        # factors one Newton system per iteration and no MM system
+        d = random_multilabel(np.random.default_rng(8), 24, 3, 2)
+        grid = tiny_grid(sigmas=(0.5, 1.0))
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _factor_blocks(*args)
+
+        monkeypatch.setattr(ovnsvm.linear, "_factor_blocks", counted)
+        report = grid_search_cv(d, grid, solver=solver).as_dict()
+        assert len(calls) == sum(sum(t["fold_iterations"]) for t in report["tuples"])
+        with monkeypatch.context() as m:
+            for name in ("fit_linear", "fit_kernel"):
+                fit = getattr(ovnsvm.modelselect, name)
+                m.setattr(ovnsvm.modelselect, name, lambda *a, traces, fit=fit: fit(*a))
+            assert grid_search_cv(d, grid, solver=solver).as_dict() == report
 
     def test_argument_validation(self):
         d = random_multilabel(np.random.default_rng(5), 9, 2, 2)

@@ -128,6 +128,32 @@ def test_numpy_integer_parameters_round_trip(tmp_path):
     )
 
 
+def test_numpy_float_parameters_round_trip(tmp_path):
+    # numpy scalars are stored as the Python numbers they hold, while Python
+    # ints stay ints, so a saved beta of 10 is still written as 10
+    hp = Hyperparameters(
+        alpha=np.float32(0.5), beta=np.int64(10), gamma=np.float64(2.0), tol=np.float32(1e-6)
+    )
+    spec = KernelSpec(kind="gaussian", sigma=np.float32(0.7), coef0=np.float64(1.5))
+    for obj, name in ((hp, "alpha"), (hp, "beta"), (hp, "gamma"), (hp, "tol"),
+                      (spec, "sigma"), (spec, "coef0")):
+        assert not isinstance(getattr(obj, name), np.generic)
+    assert hp == Hyperparameters(
+        alpha=0.5, beta=10, gamma=2.0, tol=float(np.float32(1e-6))
+    )
+    d = random_multilabel(np.random.default_rng(0), 8, 2, 2)
+    with quiet_max_iters():
+        model = fit_kernel(d, spec, ConstraintMode("soft", "soft"), hp)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    assert '"beta": 10,' in path.read_text()
+    back = load_model(path)
+    assert (back.hyperparameters, back.kernel) == (hp, spec)
+    np.testing.assert_array_equal(
+        back.decision_scores(d.features), model.decision_scores(d.features)
+    )
+
+
 def test_a_document_that_fails_to_encode_leaves_the_file_as_it_was(tmp_path):
     path = tmp_path / "m.json"
     save_model(linear_model(), path)
