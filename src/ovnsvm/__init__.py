@@ -5,8 +5,10 @@ competition enters through a pairwise weight coupling that is either
 penalized or constrained, and likewise for the bias sum.  Training runs
 an interior-point method on the training QP, in linear or kernel form,
 which stops on its certificate of the optimum or returns its own iterate
-at the iteration cap.  Prediction assigns every class whose
-projection reaches the margin, with a winner-take-all fallback.
+at the iteration cap.  Prediction is the one step where the two tasks
+differ, and ``predict_labels`` takes it for both: multiclass assigns the
+winner alone, multilabel every class whose projection reaches the margin,
+with the winner as the fallback.
 
 The reference subgradient solver lives in ``ovnsvm.oracle`` and is
 deliberately not re-exported here; it is certification surface, not API.
@@ -78,9 +80,7 @@ from .predict import (
     MetricsReport,
     evaluate,
     label_sets_to_matrix,
-    matrix_to_label_sets,
-    predict_multiclass,
-    predict_multilabel,
+    predict_labels,
     predict_multilabel_matrix,
 )
 
@@ -138,11 +138,9 @@ __all__ = [
     "load_features",
     "load_model",
     "majorizer",
-    "matrix_to_label_sets",
     "normalize_minmax",
     "ovr_baseline_fit",
-    "predict_multiclass",
-    "predict_multilabel",
+    "predict_labels",
     "predict_multilabel_matrix",
     "save_cv_report",
     "save_model",

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,7 @@ from .kernels import KernelSpec
 from .linear import ConstraintMode, Hyperparameters, fit_linear
 from .modelselect import GridSpec, grid_search_cv
 from .persistence import load_model, save_cv_report, save_model, write_json
-from .predict import evaluate, matrix_to_label_sets, predict_multilabel_matrix
+from .predict import evaluate, predict_labels
 from .reproduce import TABLES, run_table
 
 _USAGE_ERRORS = (ValueError,)
@@ -66,6 +65,13 @@ _DATA_ERRORS = (
     DimensionMismatch,
 )
 _SOLVER_ERRORS = (HessianNotPD, SingularSystem, AllTuplesInfeasible)
+
+# the train options that set a fit, by the dataclass they fill; each
+# option's default is that of the dataclass
+_FIT_OPTIONS = {
+    Hyperparameters: ("alpha", "beta", "gamma", "epsilon", "tol", "max_iters"),
+    KernelSpec: ("sigma", "degree", "coef0"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,9 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and save it")
     p.add_argument("--data", required=True)
-    p.add_argument(
-        "--task", choices=("multiclass", "multilabel"), default="multilabel"
-    )
     p.add_argument("--solver", choices=("linear", "kernel"), default="linear")
     p.add_argument(
         "--mode", choices=("sw-sb", "sw-hb", "hw-sb", "hw-hb"), default="sw-hb"
@@ -95,13 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kernel", choices=("linear", "gaussian", "poly"), default="gaussian"
     )
-    # the defaults are those of Hyperparameters() and KernelSpec()
-    for owner, names in (
-        (Hyperparameters(), ("alpha", "beta", "gamma", "epsilon", "tol", "max_iters")),
-        (KernelSpec(), ("sigma", "degree", "coef0")),
-    ):
+    for cls, names in _FIT_OPTIONS.items():
         for name in names:
-            default = getattr(owner, name)
+            default = getattr(cls(), name)
             p.add_argument(
                 "--" + name.replace("_", "-"),
                 type=type(default),
@@ -188,22 +187,17 @@ def _load_training_csv(args):
     )
 
 
+def _fit_settings(cls, args, **extra):
+    return cls(**{name: getattr(args, name) for name in _FIT_OPTIONS[cls]}, **extra)
+
+
 def _cmd_train(args) -> int:
     data = _load_training_csv(args)
     mode = ConstraintMode.from_token(args.mode)
-    hp = Hyperparameters(
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        tol=args.tol,
-    )
+    hp = _fit_settings(Hyperparameters, args)
     if args.solver == "kernel":
         kind = "polynomial" if args.kernel == "poly" else args.kernel
-        spec = KernelSpec(
-            kind=kind, sigma=args.sigma, degree=args.degree, coef0=args.coef0
-        )
+        spec = _fit_settings(KernelSpec, args, kind=kind)
         model = fit_kernel(data, spec, mode, hp, traces=False)
     else:
         model = fit_linear(data, mode, hp, traces=False)
@@ -250,11 +244,7 @@ def _cmd_predict(args) -> int:
     except NoLabels:
         X, _ = load_features(args.data)
     scores = model.decision_scores(X)
-    if args.task == "multiclass":
-        pred = np.zeros(scores.shape, dtype=np.int64)
-        pred[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1
-    else:
-        pred = predict_multilabel_matrix(scores)
+    pred = predict_labels(scores, args.task)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(
@@ -304,40 +294,50 @@ def _cmd_evaluate(args) -> int:
         raise LengthMismatch(
             f"prediction has {pred.shape[1]} classes, truth has {truth.shape[1]}"
         )
-    report = evaluate(
-        matrix_to_label_sets(pred), matrix_to_label_sets(truth), truth.shape[1]
-    )
+    report = evaluate(pred, truth, truth.shape[1])
     print(report.format_text())
     if args.json_out:
         write_json(report.as_dict(), args.json_out)
     return 0
 
 
-_GRID_KEYS = {f.name for f in fields(GridSpec)}
+# grid file key -> (whether it holds a list, the type of each value)
+_GRID_KEYS = {
+    **dict.fromkeys(("alphas", "betas", "gammas", "sigmas"), (True, float)),
+    "degrees": (True, int),
+    "modes": (True, str),
+    "kernel_kind": (False, str),
+    "coef0": (False, float),
+    "seed": (False, int),
+    "n_folds": (False, int),
+}
+# JSON values each type accepts; a JSON true or false is no number
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
+
+
+def _grid_value(key: str, value, kind: type):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"grid key {key!r}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _grid_from_doc(doc: dict, seed_override) -> GridSpec:
     if not isinstance(doc, dict):
         raise ParseError("grid file must hold a JSON object")
-    unknown = set(doc) - _GRID_KEYS
+    unknown = doc.keys() - _GRID_KEYS
     if unknown:
         raise ValueError(f"unknown grid keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("alphas", "betas", "gammas", "sigmas"):
-        if key in doc:
-            kwargs[key] = tuple(float(v) for v in doc[key])
-    if "degrees" in doc:
-        kwargs["degrees"] = tuple(int(v) for v in doc["degrees"])
-    if "modes" in doc:
-        kwargs["modes"] = tuple(ConstraintMode.from_token(t) for t in doc["modes"])
-    for key in ("kernel_kind",):
-        if key in doc:
-            kwargs[key] = str(doc[key])
-    if "coef0" in doc:
-        kwargs["coef0"] = float(doc["coef0"])
-    for key in ("seed", "n_folds"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
+    for key, value in doc.items():
+        many, kind = _GRID_KEYS[key]
+        if not many:
+            kwargs[key] = _grid_value(key, value, kind)
+        elif isinstance(value, list):
+            kwargs[key] = tuple(_grid_value(key, v, kind) for v in value)
+        else:
+            raise ValueError(f"grid key {key!r}: expected a list, got {value!r}")
+    if "modes" in kwargs:
+        kwargs["modes"] = tuple(ConstraintMode.from_token(t) for t in kwargs["modes"])
     if seed_override is not None:
         kwargs["seed"] = int(seed_override)
     return GridSpec(**kwargs)

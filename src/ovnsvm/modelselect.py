@@ -11,7 +11,7 @@ from .errors import AllTuplesInfeasible, HessianNotPD, TooFewInstances
 from .kernel import fit_kernel
 from .kernels import KernelSpec
 from .linear import ConstraintMode, Hyperparameters, fit_linear
-from .predict import evaluate, predict_multilabel_matrix
+from .predict import evaluate, predict_labels
 
 DEFAULT_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 1.5)
 DEFAULT_BETAS = (0.1, 1.0, 10.0, 100.0)
@@ -64,6 +64,9 @@ class GridSpec:
                 raise ValueError(f"{name} must be non-empty")
         if any(b <= 0 for b in self.betas):
             raise ValueError("betas must be strictly positive")
+        # an unknown kind or a non-integer degree fails here, not in a fit
+        for degree in self.degrees:
+            KernelSpec(kind=self.kernel_kind, degree=degree, coef0=self.coef0)
 
 
 @dataclass
@@ -109,7 +112,7 @@ def _enumerate_tuples(grid: GridSpec, solver: str):
             if grid.kernel_kind == "gaussian":
                 kparams = [{"sigma": s} for s in grid.sigmas]
             elif grid.kernel_kind == "polynomial":
-                kparams = [{"degree": d} for d in grid.degrees]
+                kparams = [{"degree": int(d)} for d in grid.degrees]
             else:
                 kparams = [{}]
         else:
@@ -144,13 +147,7 @@ def _fit_for_params(train: Dataset, params: dict, grid: GridSpec, solver: str):
 
 
 def _score_fold(model, test: Dataset, task: str):
-    scores = model.decision_scores(test.features)
-    if task == "multiclass":
-        # exact match of single labels
-        pred = np.zeros_like(test.labels)
-        pred[np.arange(len(scores)), np.argmax(scores, axis=1)] = 1
-    else:
-        pred = predict_multilabel_matrix(scores)
+    pred = predict_labels(model.decision_scores(test.features), task)
     rep = evaluate(pred, test.labels, test.n_classes)
     return rep.accuracy, rep.hamming_loss
 
@@ -258,9 +255,6 @@ class OvrBaseline:
     def predict_multilabel_matrix(self, X) -> np.ndarray:
         return (self.decision_scores(X) >= 0.0).astype(np.int64)
 
-    def predict_multiclass(self, X) -> np.ndarray:
-        return np.argmax(self.decision_scores(X), axis=1)
-
 
 def ovr_baseline_fit(
     dataset: Dataset, hp: Hyperparameters, kernel: KernelSpec | None = None
@@ -270,6 +264,8 @@ def ovr_baseline_fit(
     Each class is fit against its complement as a K = 2 hard-w/hard-b
     problem, which coincides with a standard soft-margin binary machine.
     Classes with an empty side are recorded as untrainable, not fatal.
+    The binary fits run with ``traces=False``: the baseline reads only
+    their scores, so its models carry empty traces.
     """
     mode = ConstraintMode("hard", "hard")
     models = []
@@ -292,7 +288,7 @@ def ovr_baseline_fit(
             dataset.feature_names,
         )
         if kernel is None:
-            models.append(fit_linear(binary, mode, hp))
+            models.append(fit_linear(binary, mode, hp, traces=False))
         else:
-            models.append(fit_kernel(binary, kernel, mode, hp))
+            models.append(fit_kernel(binary, kernel, mode, hp, traces=False))
     return OvrBaseline(models=models, untrainable=untrainable, K=dataset.n_classes)

@@ -1,4 +1,10 @@
-"""Decision rules and instance-based evaluation metrics."""
+"""Decision rules and instance-based evaluation metrics.
+
+Scores become labels in one place, :func:`predict_labels`: winner-take-all
+for multiclass, and for multilabel every class whose score reaches the
+margin, with the winner as the fallback.  The two tasks share everything
+before that step.
+"""
 
 from __future__ import annotations
 
@@ -9,30 +15,31 @@ import numpy as np
 from .errors import LengthMismatch
 
 __all__ = [
-    "predict_multilabel",
-    "predict_multiclass",
+    "predict_labels",
     "predict_multilabel_matrix",
     "label_sets_to_matrix",
-    "matrix_to_label_sets",
     "MetricsReport",
     "evaluate",
 ]
 
 
-def predict_multilabel(scores) -> np.ndarray:
-    """Label set {k : score_k >= 1}; falls back to the argmax, never empty."""
-    s = np.asarray(scores, dtype=float).ravel()
-    chosen = np.flatnonzero(s >= 1.0)
-    if chosen.size == 0:
-        # no projection reaches the margin: winner-take-all fallback
-        chosen = np.array([int(np.argmax(s))])
-    return chosen
+def predict_labels(scores, task: str) -> np.ndarray:
+    """The (N, K) 0/1 label matrix of an (N, K) score matrix under ``task``.
 
-
-def predict_multiclass(scores) -> int:
-    """Winner-take-all; argmax breaks exact ties toward the lowest index."""
-    s = np.asarray(scores, dtype=float).ravel()
-    return int(np.argmax(s))
+    ``"multilabel"``: every class scoring at least 1, or the argmax when
+    none does, so no row is empty.  ``"multiclass"``: the argmax alone.
+    Exact ties go to the lowest index.  A 1-D input is one row.
+    """
+    if task == "multilabel":
+        # looked up by module name at call time, so a wrapper set on
+        # predict.predict_multilabel_matrix sees every multilabel call
+        return predict_multilabel_matrix(scores)
+    if task != "multiclass":
+        raise ValueError(f"unknown task {task!r}")
+    S = np.atleast_2d(np.asarray(scores, dtype=float))
+    out = np.zeros(S.shape, dtype=np.int64)
+    out[np.arange(len(S)), np.argmax(S, axis=1)] = 1
+    return out
 
 
 def predict_multilabel_matrix(scores) -> np.ndarray:
@@ -63,10 +70,6 @@ def label_sets_to_matrix(sets, K: int) -> np.ndarray:
                 raise LengthMismatch(f"label index {k} out of range for K={K}")
             out[i, k] = 1
     return out
-
-
-def matrix_to_label_sets(matrix) -> list:
-    return [np.flatnonzero(row) for row in np.asarray(matrix)]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .kernel import fit_kernel, support_vectors
 from .kernels import KernelSpec
 from .linear import ConstraintMode, Hyperparameters, fit_linear
 from .modelselect import GridSpec, grid_search_cv, ovr_baseline_fit
-from .predict import predict_multilabel_matrix
+from .predict import evaluate, predict_labels
 
 TABLES = ("t3", "t4", "t5", "unseen")
 
@@ -205,10 +205,8 @@ def _bitstring(row) -> str:
 
 
 def _training_accuracy(model, dataset: Dataset) -> float:
-    scores = model.decision_scores(dataset.features)
-    pred = np.argmax(scores, axis=1)
-    truth = np.argmax(dataset.labels, axis=1)
-    return float(np.mean(pred == truth))
+    pred = predict_labels(model.decision_scores(dataset.features), "multiclass")
+    return evaluate(pred, dataset.labels, dataset.n_classes).accuracy
 
 
 def run_unseen(data_dir=None) -> TableReport:
@@ -228,7 +226,7 @@ def run_unseen(data_dir=None) -> TableReport:
     )
     model = fit_linear(train, ConstraintMode.from_token(UNSEEN_MODE), hp, traces=False)
     test = unseen_label_test_partition()
-    pred = predict_multilabel_matrix(model.decision_scores(test.features))
+    pred = predict_labels(model.decision_scores(test.features), "multilabel")
     for i in range(test.n_instances):
         x = test.features[i]
         ours = _bitstring(pred[i])

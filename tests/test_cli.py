@@ -356,6 +356,37 @@ class TestExitCodes:
         assert code == 2
         assert not model.exists()
 
+    def test_train_has_no_task_option(self, tmp_path):
+        # the task decides only how predict turns scores into labels
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        run("synth", "--kind", "moon", "--out", str(data))
+        code = run("train", "--data", str(data), "--task", "multiclass", "--model-out", str(model))
+        assert code == 2
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"alphas": 0.5}, "grid key 'alphas': expected a list, got 0.5"),
+            ({"n_folds": None}, "grid key 'n_folds': expected int, got None"),
+            ({"degrees": [2.5], "kernel_kind": "polynomial"},
+             "grid key 'degrees': expected int, got 2.5"),
+            ({"betas": ["10"]}, "grid key 'betas': expected float, got '10'"),
+            ({"seed": True}, "grid key 'seed': expected int, got True"),
+            ({"kernel_kind": "foo"}, "unknown kernel kind 'foo'"),
+        ],
+        ids=["scalar-list", "null", "float-degree", "string-number", "bool-int", "kind"],
+    )
+    def test_grid_values_of_the_wrong_type_are_usage_errors(
+        self, tmp_path, capsys, doc, message
+    ):
+        data, grid = tmp_path / "d.csv", tmp_path / "g.json"
+        run("synth", "--kind", "moon", "--out", str(data))
+        grid.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("cv", "--solver", "kernel", "--data", str(data), "--grid", str(grid)) == 2
+        assert capsys.readouterr().err == f"ValueError: {message}\n"
+
     def test_a_fold_that_cannot_train_a_class_is_a_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         rows = [f"{i / 10},{(i * 7) % 5},{int(i < 15)},{int(i >= 15)},{int(i == 7)}"

@@ -18,6 +18,7 @@ from ovnsvm import (
     grid_search_cv,
     kfold_split,
     ovr_baseline_fit,
+    predict_labels,
     synth_generate,
 )
 from ovnsvm.linear import _factor_blocks
@@ -55,6 +56,21 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="betas"):
             GridSpec(betas=(0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"kernel_kind": "polynomial", "degrees": (2.5,)}, "degree must be an integer"),
+            ({"degrees": (2.0,)}, "degree must be an integer"),
+            ({"kernel_kind": "polynomial", "degrees": (0,)}, "degree must be at least 1"),
+            ({"kernel_kind": "foo"}, "unknown kernel kind 'foo'"),
+        ],
+        ids=["fractional-degree", "float-degree", "zero-degree", "kind"],
+    )
+    def test_kernel_fields_are_checked_when_constructed(self, kw, message):
+        # not first inside the fit of a tuple
+        with pytest.raises(ValueError, match=message):
+            GridSpec(**kw)
+
     def test_hard_modes_collapse_unused_axes(self):
         grid = GridSpec(
             alphas=(0.0, 1.0),
@@ -80,11 +96,13 @@ class TestGridSpec:
         grid = GridSpec(
             alphas=(0.5,),
             betas=(1.0,),
-            degrees=(2, 3),
+            degrees=(np.int64(2), 3),
             kernel_kind="polynomial",
         )
         ks = list(_enumerate_tuples(grid, "kernel"))
         assert sorted(t["degree"] for t in ks) == [2, 3]
+        # Python ints, which save_cv_report can encode
+        assert {type(t["degree"]) for t in ks} == {int}
 
 
 def tiny_grid(**kw):
@@ -238,7 +256,26 @@ class TestOvrBaseline:
             [[1, 0], [1, 0], [0, 1], [0, 1]],
         )
         base = ovr_baseline_fit(d, Hyperparameters(beta=10.0, max_iters=200))
-        assert base.predict_multiclass(np.array([[-2.0], [2.0]])).tolist() == [0, 1]
+        scores = base.decision_scores(np.array([[-2.0], [2.0]]))
+        assert predict_labels(scores, "multiclass").tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "kernel", [None, KernelSpec(kind="gaussian", sigma=0.8)], ids=["linear", "gaussian"]
+    )
+    def test_binary_fits_skip_the_traces(self, kernel, monkeypatch):
+        # each binary fit factors one Newton system per iteration and no MM system
+        d = synth_generate(SynthSpec("moon", n_per_cluster=8, seed=1))
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _factor_blocks(*args)
+
+        monkeypatch.setattr(ovnsvm.linear, "_factor_blocks", counted)
+        base = ovr_baseline_fit(d, Hyperparameters(beta=10.0, max_iters=300), kernel=kernel)
+        assert len(base.models) == 2 and not base.untrainable
+        assert len(calls) == sum(m.iterations_used for m in base.models)
+        assert all(m.surrogate_trace == m.hinge_trace == [] for m in base.models)
 
     def test_kernel_variant(self):
         d = synth_generate(SynthSpec("moon", n_per_cluster=8, seed=1))

@@ -18,6 +18,16 @@ def test_the_halved_objective_is_not_exported():
     assert not hasattr(ovnsvm.linear, "objective")
 
 
+def test_scores_become_labels_through_predict_labels_alone():
+    # the per-row rules, the label-set conversion and the baseline's
+    # argmax twin are gone
+    for name in ("predict_multilabel", "predict_multiclass", "matrix_to_label_sets"):
+        assert name not in ovnsvm.__all__
+        assert not hasattr(ovnsvm, name)
+        assert not hasattr(ovnsvm.predict, name)
+    assert not hasattr(ovnsvm.OvrBaseline, "predict_multiclass")
+    assert "predict_labels" in ovnsvm.__all__
+
 
 def test_no_module_reads_the_environment_or_starts_workers():
     # BLAS threads are the only parallelism, and no setting of the package

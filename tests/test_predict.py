@@ -5,37 +5,71 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ovnsvm.predict
 from ovnsvm import (
     LengthMismatch,
     evaluate,
     label_sets_to_matrix,
-    matrix_to_label_sets,
-    predict_multiclass,
-    predict_multilabel,
+    predict_labels,
     predict_multilabel_matrix,
 )
+
+TASKS = ("multilabel", "multiclass")
 
 
 class TestDecisionRules:
     def test_threshold_is_inclusive_at_one(self):
-        assert predict_multilabel([1.0, 0.99]).tolist() == [0]
-        assert predict_multilabel([1.0, 1.0]).tolist() == [0, 1]
+        S = [[1.0, 0.99], [1.0, 1.0]]
+        assert predict_labels(S, "multilabel").tolist() == [[1, 0], [1, 1]]
+        # winner-take-all reads no threshold: one label per row
+        assert predict_labels(S, "multiclass").tolist() == [[1, 0], [1, 0]]
 
-    def test_fallback_never_returns_empty(self):
-        assert predict_multilabel([0.2, 0.7, 0.5]).tolist() == [1]
+    @pytest.mark.parametrize("task", TASKS)
+    def test_fallback_never_returns_empty(self, task):
+        S = [[0.2, 0.7, 0.5], [-3.0, -1.0, -2.0]]
+        assert predict_labels(S, task).tolist() == [[0, 1, 0], [0, 1, 0]]
 
-    def test_multiclass_tie_breaks_low(self):
-        assert predict_multiclass([0.5, 0.5, 0.2]) == 0
-        assert predict_multiclass([0.1, 0.9]) == 1
+    @pytest.mark.parametrize("task", TASKS)
+    def test_a_tie_goes_to_the_lowest_index(self, task):
+        S = [[0.5, 0.5, 0.2], [0.1, 0.9, 0.9]]
+        assert predict_labels(S, task).tolist() == [[1, 0, 0], [0, 1, 0]]
+
+    def test_a_tie_at_the_margin_keeps_both_labels_only_in_multilabel(self):
+        S = [[1.5, 1.5]]
+        assert predict_labels(S, "multilabel").tolist() == [[1, 1]]
+        assert predict_labels(S, "multiclass").tolist() == [[1, 0]]
 
     def test_matrix_rule_rows(self):
         S = [[1.2, 0.3], [0.4, 0.2], [1.0, 1.5]]
-        out = predict_multilabel_matrix(S)
+        out = predict_labels(S, "multilabel")
         assert out.tolist() == [[1, 0], [1, 0], [1, 1]]
         assert np.all(out.sum(axis=1) >= 1)
+        np.testing.assert_array_equal(predict_multilabel_matrix(S), out)
+        assert predict_labels(S, "multiclass").tolist() == [[1, 0], [1, 0], [0, 1]]
 
-    def test_matrix_rule_accepts_single_row(self):
-        assert predict_multilabel_matrix([0.1, 0.2]).tolist() == [[0, 1]]
+    @pytest.mark.parametrize("task", TASKS)
+    def test_matrix_rule_accepts_single_row(self, task):
+        out = predict_labels([0.1, 0.2], task)
+        assert out.tolist() == [[0, 1]]
+        assert out.dtype == np.int64
+
+    def test_unknown_task_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown task 'ranking'"):
+            predict_labels([[2.0, 0.0]], "ranking")
+
+    def test_multilabel_goes_through_the_module_binding(self, monkeypatch):
+        # a wrapper set on predict_multilabel_matrix sees the multilabel rule
+        calls = []
+        rule = ovnsvm.predict.predict_multilabel_matrix
+
+        def counted(scores):
+            calls.append(1)
+            return rule(scores)
+
+        monkeypatch.setattr(ovnsvm.predict, "predict_multilabel_matrix", counted)
+        predict_labels([[2.0, 0.0]], "multilabel")
+        predict_labels([[2.0, 0.0]], "multiclass")
+        assert len(calls) == 1
 
 
 class TestSetMatrixConversion:
@@ -63,10 +97,11 @@ class TestSetMatrixConversion:
         with pytest.raises(LengthMismatch):
             label_sets_to_matrix([[-1]], 3)
 
-    def test_round_trip(self):
-        M = np.array([[1, 1, 0], [0, 0, 1]])
-        back = label_sets_to_matrix(matrix_to_label_sets(M), 3)
-        np.testing.assert_array_equal(back, M)
+    def test_evaluate_reads_a_matrix_as_its_label_sets(self):
+        P = np.array([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+        Y = np.array([[1, 0, 0], [0, 1, 1], [1, 0, 0]])
+        as_sets = evaluate([[0, 1], [2], []], [[0], [1, 2], [0]], 3)
+        assert evaluate(P, Y, 3) == as_sets
 
 
 class TestEvaluate:
