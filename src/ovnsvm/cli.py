@@ -202,11 +202,14 @@ def _cmd_train(args) -> int:
     else:
         model = fit_linear(data, mode, hp, traces=False)
     save_model(model, args.model_out)
+    landmarks = ""
+    if args.solver == "kernel":
+        landmarks = f"landmarks={np.count_nonzero(model.A.any(axis=0))} of {model.n_train} "
     print(
         f"trained {args.solver} model: iterations={model.iterations_used} "
         f"converged={model.converged} stop_reason={model.stop_reason} "
         f"objective={model.final_objective:.6g} "
-        f"kkt_residual={model.kkt_residual:.3e} "
+        f"kkt_residual={model.kkt_residual:.3e} {landmarks}"
         f"interior_point={model.interior_point!r}"
     )
     print(f"saved model to {args.model_out}")

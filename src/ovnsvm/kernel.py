@@ -7,18 +7,23 @@ training pattern r coordinates in the span of the r pivot patterns, so a
 kernel fit is the linear fit on the rows of R: blocks of size r + 1 per
 class, with the hard weight constraint sum_k w_k = 0 in those
 coordinates.  The fitted weights map back to coefficients on the pivot
-patterns; every other column of A is zero.
+patterns.  A certified fit is then refit on its support vectors alone,
+where the representer theorem puts the optimum (Schoelkopf, Herbrich &
+Smola, COLT 2001): the same linear fit on the Nystroem rows of those
+landmarks (Williams & Seeger, NIPS 2001).  Only the columns of A on the
+pivots, or on the landmarks after a refit, are nonzero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .data import Dataset, finite_features
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, HessianNotPD, MaxItersExceeded, SingularSystem
 from .kernels import KernelSpec, _finish, _lift, _origin, gram
 from .linear import (
     AssembledSystem,
@@ -40,15 +45,21 @@ _FACTOR_TOL = 1e-8
 # tile of BLAS kernels, so only the last block has edge rows, as one call has.
 _SCORE_BLOCK = 1 << 15
 
+# a row is a landmark of the refit when its hinge multiplier in some class is
+# above this share of beta: a support vector of that class
+_LANDMARK_TOL = 1e-5
+
 
 @dataclass
 class TrainedKernelModel:
     """Fit result: coefficient rows A (K x N), biases, and kernel context.
 
     Retains the training features because prediction needs kernel values
-    against them.  Diagnostics mirror TrainedLinearModel, ``interior_point``
-    and ``stop_reason`` included; ``final_objective`` is the minimized
-    functional at (A, b), :func:`training_objective_kernel`.
+    against them, though only the rows whose column of A is nonzero (the
+    pivots, or the landmarks of a refit) enter a score.  Diagnostics
+    mirror TrainedLinearModel, ``interior_point`` and ``stop_reason``
+    included; ``final_objective`` is the minimized functional at (A, b),
+    :func:`training_objective_kernel`.
     """
 
     A: np.ndarray
@@ -77,9 +88,10 @@ class TrainedKernelModel:
     def decision_scores(self, X) -> np.ndarray:
         """Per-class scores sum_i A[k,i] kappa(x_i, x) + b_k, shape (T, K).
 
-        Rows are scored in blocks, so beyond the output one kernel block of
-        N x (about _SCORE_BLOCK // N) values is held, however large T is.
         Training rows whose column of A is zero are left out of the blocks.
+        Rows are scored in blocks, so beyond the output one kernel block of
+        n x (about _SCORE_BLOCK // n) values is held for the n kept training
+        rows, however large T is.
         """
         X = finite_features(X)
         if X.shape[1:] != self.train_features.shape[1:]:
@@ -91,7 +103,7 @@ class TrainedKernelModel:
         left = _lift(self.kernel, self.train_features[keep], origin, True)
         A = np.take(self.A, keep, axis=1)  # row-major as A is, so it rounds alike
         scores = np.empty((len(X), self.n_classes))
-        step = 64 * max(1, _SCORE_BLOCK // (64 * self.n_train))
+        step = 64 * max(1, _SCORE_BLOCK // (64 * max(1, len(keep))))
         # the last block takes the rest, so it is never a lone row unless X is
         bounds = [0, *range(step, len(X) - 1, step), len(X)]
         for start, stop in zip(bounds, bounds[1:]):
@@ -126,11 +138,71 @@ def _factor(G):
     return Rt[: len(pivots)].T, np.asarray(pivots, dtype=int)
 
 
-def _kernel_parts(sets, G, mode, hp):
-    # the linear parts on R, with the triangular pivot rows R[pivots]
-    R, pivots = _factor(G)
-    parts = _linear_parts(R, sets, mode, hp, f", rank={len(pivots)}")
-    return parts, R[pivots], pivots
+def _kernel_parts(sets, G, mode, hp, landmarks=None):
+    """The linear parts of a fit on a factor of G: (parts, L, cols).
+
+    The rows are those of the pivoted factor R of G, with L = R[cols] on
+    the pivots cols.  Given ``landmarks``, they are the rows G[:, cols] L^-T
+    of the Nystroem map instead, with L the factor of G on the landmarks and
+    cols its pivots among them (Williams & Seeger, NIPS 2001).
+    """
+    S = np.arange(len(G)) if landmarks is None else landmarks
+    R, pivots = _factor(G if landmarks is None else G[np.ix_(S, S)])
+    L, cols = R[pivots], S[pivots]
+    if landmarks is not None:
+        R = solve_triangular(L, G[cols], lower=True).T
+    return _linear_parts(R, sets, mode, hp, f", rank={len(cols)}"), L, cols
+
+
+def _dual(dataset, G, mode, hp, run, L, cols):
+    """(A, b, objective) of a fit on the rows of :func:`_kernel_parts`.
+
+    The weights w_k = L' a_k map back to coefficients a_k on the columns cols.
+    """
+    r = len(cols)
+    A = np.zeros((dataset.n_classes, dataset.n_instances))
+    A[:, cols] = solve_triangular(L, run.w[:, :r].T, lower=True, trans="T").T
+    b = run.w[:, r].copy()
+    return A, b, training_objective_kernel(dataset, G, A, b, mode, hp)
+
+
+def _refit(dataset, G, mode, hp, fit, traces):
+    """The fit on the support-vector landmarks of a pivot fit: (parts, run, model).
+
+    Returns the pivot ``fit`` instead when the refit is skipped or
+    discarded.  Either way the run's ``interior_point`` says which, its
+    ``iterations_used`` counts the steps of both fits, and with ``traces``
+    its traces are those of the fit returned.
+    """
+    parts, run, model = fit
+
+    def end(chosen, note, steps=0):
+        c_parts, c_run, c_model = chosen
+        if traces:
+            c_run.add_traces(c_parts, hp)
+        note, steps = f"{run.interior_point}; refit {note}", run.iterations_used + steps
+        return c_parts, replace(c_run, interior_point=note, iterations_used=steps), c_model
+
+    if run.stop_reason != "gap":
+        return end(fit, "skipped (pivot fit not certified)")
+    sets = dataset.class_index_sets()
+    S = np.unique(np.concatenate(sets)[run.lam > _LANDMARK_TOL * hp.beta])
+    if len(S) >= parts.metric.shape[0] - 1:  # r + 1 columns on a factor of rank r
+        return end(fit, "skipped (|S| >= r)")
+    parts2, L, cols = _kernel_parts(sets, G, mode, hp, S)
+    try:
+        with warnings.catch_warnings():  # a refit at the cap is discarded, not the model
+            warnings.simplefilter("ignore", MaxItersExceeded)
+            run2 = _minimize(parts2, hp)
+    except (HessianNotPD, SingularSystem) as e:
+        return end(fit, f"discarded ({type(e).__name__} on its first step)", 1)
+    model2, steps = _dual(dataset, G, mode, hp, run2, L, cols), run2.iterations_used
+    if run2.stop_reason != "gap":
+        return end(fit, f"discarded ({run2.interior_point})", steps)
+    if model2[2] > model[2]:  # the objectives on the full G
+        return end(fit, f"discarded ({run2.interior_point}, objective {model2[2]!r} "
+                   f"above {model[2]!r})", steps)
+    return end((parts2, run2, model2), f"on {len(cols)} landmarks {run2.interior_point}", steps)
 
 
 def assemble_kernel(
@@ -173,6 +245,7 @@ def fit_kernel(
     hp: Hyperparameters,
     *,
     traces: bool = True,
+    refit: bool = True,
 ) -> TrainedKernelModel:
     """Fit the kernel model with the interior-point fit of the linear solver.
 
@@ -187,6 +260,10 @@ def fit_kernel(
         As in :func:`ovnsvm.linear.fit_linear`: False returns the same
         model with empty ``surrogate_trace`` and ``hinge_trace`` and runs
         no MM solve.
+    refit : bool
+        Whether a certified fit is refit on its support vectors.  False
+        returns the pivot fit's model, for callers that score a few rows
+        and drop it, where the second fit does not pay for itself.
 
     Returns
     -------
@@ -203,33 +280,46 @@ def fit_kernel(
     interior-point method, whose iterate is the model and on which
     ``interior_point`` reports.  It stops as that fit does, on the
     method's certificate ("gap"), on a step of the method that raised
-    ("stall") or at the cap ("cap"), as ``stop_reason`` says.  With
-    ``traces`` plain MM then runs on the same rows for the traces
+    ("stall") or at the cap ("cap"), as ``stop_reason`` says.  On an edge
+    of the coupling window the Gram factor usually leaves coupling null
+    directions without hinge curvature; the edge term of the linear fit
+    keeps both the MM and the Newton systems regular there.
+
+    With ``refit``, a fit that ended "gap" is then refit on its landmarks,
+    the rows whose multiplier is above _LANDMARK_TOL beta in some class:
+    G on the landmarks is factored, every training row is mapped onto them,
+    and :func:`ovnsvm.linear._minimize` runs again on those rows.  The refit
+    is skipped when there are at least r landmarks, and discarded unless it
+    ends "gap" at an objective no higher than the pivot fit's; the pivot
+    fit is then the model.  ``interior_point`` says which of these
+    happened, after the pivot fit's own status.  ``iterations_used`` counts
+    the steps of both fits, so a fit without traces still factors
+    ``iterations_used`` systems; ``stop_reason`` and ``kkt_residual`` are
+    the model's fit's.
+
+    With ``traces`` plain MM then runs on the rows the model was fit on,
+    one iteration per step of that fit but the last (every step at the
+    cap), so a refit model has one trace entry fewer than its refit's steps
     (:func:`ovnsvm.linear._mm_traces`), and an error of its solve
-    propagates.  On an edge of the coupling window the Gram factor usually
-    leaves coupling null directions without hinge curvature; the edge term
-    of the linear fit keeps both the MM and the Newton systems regular
-    there.  The coefficients A are the pivot patterns' part of the same
-    weights, so the model file and the scoring path are those of a full
-    kernel model.
+    propagates.  The coefficients A are the pivot or landmark patterns'
+    part of the model's weights, so the model file and the scoring path
+    are those of a full kernel model; ``final_objective`` is taken on the
+    full G.
     """
     sets = dataset.class_index_sets()
     _validate_fit_inputs(sets, dataset.class_names, mode, hp)
     G = gram(kernel, dataset.features)
-    parts, L, pivots = _kernel_parts(sets, G, mode, hp)
+    parts, L, cols = _kernel_parts(sets, G, mode, hp)
     run = _minimize(parts, hp)
-    if traces:
+    model = _dual(dataset, G, mode, hp, run, L, cols)
+    if refit:
+        parts, run, model = _refit(dataset, G, mode, hp, (parts, run, model), traces)
+    elif traces:
         run.add_traces(parts, hp)
-    r = len(pivots)
-    # w_k = L' a_k on the pivot coefficients a_k, with L = R[pivots]
-    A = np.zeros((len(sets), dataset.n_instances))
-    A[:, pivots] = solve_triangular(L, run.w[:, :r].T, lower=True, trans="T").T
-    b = run.w[:, r].copy()
+    A, b, objective = model
     return TrainedKernelModel(
         A=A, b=b, kernel=kernel, train_features=dataset.features.copy(), mode=mode,
-        hyperparameters=hp,
-        final_objective=training_objective_kernel(dataset, G, A, b, mode, hp),
-        **run.diagnostics(),
+        hyperparameters=hp, final_objective=objective, **run.diagnostics(),
     )
 
 

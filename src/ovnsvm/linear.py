@@ -587,6 +587,7 @@ def _validate_fit_inputs(sets, class_names, mode, hp):
 @dataclass
 class _FitRun:
     w: np.ndarray  # stacked augmented weights of the interior-point iterate, K x P
+    lam: np.ndarray  # the iterate's hinge multipliers, class after class as in project
     # the rest are the models' diagnostic fields, under the models' names
     iterations_used: int
     kkt_residual: float
@@ -597,7 +598,7 @@ class _FitRun:
 
     def diagnostics(self) -> dict:
         """The models' diagnostic fields, ``converged`` read off ``stop_reason``."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        out = {f.name: getattr(self, f.name) for f in fields(self)[2:]}
         return dict(out, converged=self.stop_reason != "cap")
 
     def add_traces(self, parts: _FixedParts, hp: Hyperparameters) -> None:
@@ -755,8 +756,10 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _FitRun:
     raise on the first step propagates) or at ``hp.max_iters`` ("cap"),
     with a MaxItersExceeded warning.  Each step solves its Newton system
     by class blocks (:func:`_factor_blocks`), so the fit factors
-    ``iterations_used`` systems.  The traces come back empty; a fit that
-    returns them fills them from :func:`_mm_traces` afterwards.
+    ``iterations_used`` systems.  The run also returns the iterate's hinge
+    multipliers ``lam``, from which a kernel fit reads its support vectors.
+    The traces come back empty; a fit that returns them fills them from
+    :func:`_mm_traces` afterwards.
     """
     ipm = _InteriorPoint(parts, hp)
     stop_reason, iterations = "cap", hp.max_iters
@@ -774,7 +777,7 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _FitRun:
             MaxItersExceeded,
             stacklevel=3,
         )
-    return _FitRun(ipm.w, iterations, ipm.residual, [], [], ipm.status(), stop_reason)
+    return _FitRun(ipm.w, ipm.lam, iterations, ipm.residual, [], [], ipm.status(), stop_reason)
 
 
 def _mm_traces(parts: _FixedParts, hp: Hyperparameters, n: int):

@@ -142,7 +142,7 @@ def _fit_for_params(train: Dataset, params: dict, grid: GridSpec, solver: str):
             degree=params.get("degree", 2),
             coef0=grid.coef0,
         )
-        return fit_kernel(train, spec, mode, hp, traces=False)
+        return fit_kernel(train, spec, mode, hp, traces=False, refit=False)
     return fit_linear(train, mode, hp, traces=False)
 
 

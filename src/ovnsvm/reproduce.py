@@ -285,7 +285,9 @@ def run_t3(data_dir=None) -> TableReport:
             max_iters=T3_MAX_ITERS,
             tol=T3_TOL,
         )
-        model = fit_kernel(data, spec, ConstraintMode("soft", "hard"), hp, traces=False)
+        model = fit_kernel(
+            data, spec, ConstraintMode("soft", "hard"), hp, traces=False, refit=False
+        )
         acc = _training_accuracy(model, data)
         gating = rec["gating"]
         report.rows.append(

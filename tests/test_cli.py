@@ -14,6 +14,7 @@ import pytest
 
 import ovnsvm
 from conftest import quiet_max_iters
+from ovnsvm import load_model
 from ovnsvm.cli import main
 
 
@@ -96,6 +97,17 @@ def test_train_summary_says_how_the_interior_point_anchor_ended(tmp_path, capsys
     summary = capsys.readouterr().out.splitlines()[0]
     assert re.search(r"interior_point='converged after \d+ steps'$", summary)
     assert re.search(r" stop_reason=gap ", summary)
+
+
+def test_train_summary_says_how_many_landmarks_a_kernel_model_keeps(tmp_path, capsys):
+    data, model = tmp_path / "moon.csv", tmp_path / "m.json"
+    assert run("synth", "--kind", "moon", "--seed", "0", "--out", str(data)) == 0
+    assert run("train", "--data", str(data), "--solver", "kernel", "--sigma", "2",
+               "--beta", "10", "--model-out", str(model)) == 0
+    summary = capsys.readouterr().out.splitlines()[1]
+    kept = int(re.search(r" landmarks=(\d+) of 20 ", summary).group(1))
+    assert kept == np.count_nonzero(load_model(model).A.any(axis=0)) < 20
+    assert re.search(rf"; refit on {kept} landmarks converged after \d+ steps'$", summary)
 
 
 def test_train_linear_and_multiclass_column(tmp_path):

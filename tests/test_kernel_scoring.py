@@ -15,7 +15,7 @@ from ovnsvm import (
 )
 
 # the shape of the benchmark's ring model: 90 training rows, 2 features,
-# 3 classes; at this N a scoring block is 320 rows
+# 3 classes; a model that keeps all 90 rows scores blocks of 320 rows
 N, M, K = 90, 2, 3
 
 

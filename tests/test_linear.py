@@ -687,10 +687,15 @@ class TestInteriorPointAnchor:
         # blocks (alpha = 2) or the shared system in the class sum (alpha =
         # -1) of the Newton system would be singular
         d = random_multiclass(np.random.default_rng(0), 40, 3, 3)
-        model = fit_kernel(d, KernelSpec(kind="gaussian"), ConstraintMode.from_token(token),
-                           Hyperparameters(alpha=alpha))
+        spec, mode = KernelSpec(kind="gaussian"), ConstraintMode.from_token(token)
+        pivot = fit_kernel(d, spec, mode, Hyperparameters(alpha=alpha), refit=False)
+        assert pivot.stop_reason == "gap"
+        assert pivot.interior_point == f"converged after {pivot.iterations_used} steps"
+        # the refit on the support vectors sits on the same edge
+        model = fit_kernel(d, spec, mode, Hyperparameters(alpha=alpha))
         assert model.stop_reason == "gap"
-        assert model.interior_point == f"converged after {model.iterations_used} steps"
+        assert re.fullmatch(rf"{pivot.interior_point}; refit (on \d+ landmarks |discarded \()"
+                            r"converged after \d+ steps.*", model.interior_point)
 
     @pytest.mark.parametrize("token", ["sw-hb", "sw-sb"])
     def test_a_step_that_raises_stalls_the_fit_at_its_best_iterate(self, token):
@@ -702,7 +707,8 @@ class TestInteriorPointAnchor:
             warnings.simplefilter("error", MaxItersExceeded)
             model = fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp)
         assert model.stop_reason == "stall" and model.converged
-        assert re.fullmatch(r"stopped on SingularSystem after \d+ steps", model.interior_point)
+        assert re.fullmatch(r"stopped on SingularSystem after \d+ steps; "
+                            r"refit skipped \(pivot fit not certified\)", model.interior_point)
         assert model.iterations_used <= 10
         assert 0.0 <= model.final_objective <= 1e-20
 
@@ -721,8 +727,11 @@ class TestInteriorPointAnchor:
             else:
                 d = random_multiclass(np.random.default_rng(seed), 40, 3, K)
                 model = fit_kernel(d, KernelSpec(kind="gaussian"), mode, hp)
+            # a kernel fit's steps are those of the pivot fit and of its refit
+            steps = [int(n) for n in re.findall(r"after (\d+) steps", model.interior_point)]
             assert model.stop_reason == "gap", (alpha, token, seed)
-            assert model.iterations_used <= 20, (alpha, token, seed)
+            assert sum(steps) == model.iterations_used, (alpha, token, seed)
+            assert max(steps) <= 20, (alpha, token, seed)
 
     def test_status_reads_converged_or_running_at_the_cap(self):
         d = _planted_multilabel(np.random.default_rng(0), 300)
@@ -815,14 +824,15 @@ _CONTRACT_FITS = [("sw-sb", 1.0), ("sw-hb", 1.0), ("hw-sb", 1.0), ("hw-hb", 1.0)
 
 
 def _contract_fit(solver, alpha, max_iters, traces=True):
-    # the fitted model and the fixed parts of its fit; a gaussian fit also
-    # gives the map from the weights on the Gram factor to A
+    # the fitted model and the fixed parts of its fit; a gaussian fit, on
+    # the pivots without the refit, also gives the map from the weights on
+    # the Gram factor to A
     d = random_multilabel(np.random.default_rng(13), 60, 4, 3)
     hp = Hyperparameters(alpha=alpha, max_iters=max_iters)
     with quiet_max_iters():
         if solver == "gaussian":
             mode, spec = ConstraintMode("soft", "hard"), KernelSpec(kind="gaussian", sigma=0.8)
-            model = fit_kernel(d, spec, mode, hp, traces=traces)
+            model = fit_kernel(d, spec, mode, hp, traces=traces, refit=False)
             G = gram(spec, d.features)
             parts, L, pivots = _kernel_parts(d.class_index_sets(), G, mode, hp)
             r = len(pivots)

@@ -201,7 +201,7 @@ class TestGridSearch:
         with monkeypatch.context() as m:
             for name in ("fit_linear", "fit_kernel"):
                 fit = getattr(ovnsvm.modelselect, name)
-                m.setattr(ovnsvm.modelselect, name, lambda *a, traces, fit=fit: fit(*a))
+                m.setattr(ovnsvm.modelselect, name, lambda *a, traces, fit=fit, **kw: fit(*a, **kw))
             assert grid_search_cv(d, grid, solver=solver).as_dict() == report
 
     def test_argument_validation(self):
