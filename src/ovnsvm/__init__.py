@@ -41,6 +41,7 @@ from .errors import (
     OvnError,
     ParseError,
     SingularSystem,
+    SolverError,
     TooFewInstances,
     UnknownKind,
     UnsupportedVersion,
@@ -111,6 +112,7 @@ __all__ = [
     "OvrBaseline",
     "ParseError",
     "SingularSystem",
+    "SolverError",
     "SynthSpec",
     "TooFewInstances",
     "TrainedKernelModel",

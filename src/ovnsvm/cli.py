@@ -1,7 +1,8 @@
 """Command line interface for batch experiments and scripted reruns.
 
-Exit codes: 0 success, 1 reproduction band violated, 2 usage error,
-3 data error, 4 solver error.  Every failure prints exactly one
+Exit codes: 0 success, 1 reproduction band violated, 2 usage error
+(ValueError), and for the package's own errors their ``exit_code``: 3 a
+data or i/o error, 4 a solver error.  Every failure prints exactly one
 "ErrorType: reason" line on stderr.
 """
 
@@ -26,45 +27,14 @@ from .data import (
     unseen_label_test_partition,
     write_csv,
 )
-from .errors import (
-    AllTuplesInfeasible,
-    DimensionMismatch,
-    EmptyLabelRow,
-    HessianNotPD,
-    InvariantViolation,
-    IoError,
-    LengthMismatch,
-    MalformedCsv,
-    NoLabels,
-    ParseError,
-    SingularSystem,
-    TooFewInstances,
-    UnknownKind,
-    UnsupportedVersion,
-)
+from .errors import LengthMismatch, MalformedCsv, NoLabels, OvnError, ParseError
 from .kernel import fit_kernel
 from .kernels import KernelSpec
-from .linear import ConstraintMode, Hyperparameters, fit_linear
-from .modelselect import GridSpec, grid_search_cv
+from .linear import MODE_TOKENS, ConstraintMode, Hyperparameters, fit_linear
+from .modelselect import SOLVERS, GridSpec, grid_search_cv
 from .persistence import load_model, save_cv_report, save_model, write_json
-from .predict import evaluate, predict_labels
+from .predict import TASKS, evaluate, predict_labels
 from .reproduce import TABLES, run_table
-
-_USAGE_ERRORS = (ValueError,)
-_DATA_ERRORS = (
-    MalformedCsv,
-    NoLabels,
-    EmptyLabelRow,
-    UnknownKind,
-    TooFewInstances,
-    IoError,
-    ParseError,
-    UnsupportedVersion,
-    InvariantViolation,
-    LengthMismatch,
-    DimensionMismatch,
-)
-_SOLVER_ERRORS = (HessianNotPD, SingularSystem, AllTuplesInfeasible)
 
 # the train options that set a fit, by the dataclass they fill; each
 # option's default is that of the dataclass
@@ -91,10 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and save it")
     p.add_argument("--data", required=True)
-    p.add_argument("--solver", choices=("linear", "kernel"), default="linear")
-    p.add_argument(
-        "--mode", choices=("sw-sb", "sw-hb", "hw-sb", "hw-hb"), default="sw-hb"
-    )
+    p.add_argument("--solver", choices=SOLVERS, default="linear")
+    p.add_argument("--mode", choices=tuple(MODE_TOKENS), default="sw-hb")
     p.add_argument(
         "--kernel", choices=("linear", "gaussian", "poly"), default="gaussian"
     )
@@ -116,9 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--task", choices=("multiclass", "multilabel"), default="multilabel"
-    )
+    p.add_argument("--task", choices=TASKS, default="multilabel")
     p.add_argument("--label-prefix", default="label:")
     p.add_argument("--multiclass-column", default=None)
     p.add_argument(
@@ -140,10 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="cross-validated grid search")
     p.add_argument("--data", required=True)
     p.add_argument("--grid", default=None, help="JSON grid file; defaults apply")
-    p.add_argument(
-        "--task", choices=("multiclass", "multilabel"), default="multilabel"
-    )
-    p.add_argument("--solver", choices=("linear", "kernel"), default="linear")
+    p.add_argument("--task", choices=TASKS, default="multilabel")
+    p.add_argument("--solver", choices=SOLVERS, default="linear")
     p.add_argument("--seed", type=int, default=None, help="override the grid seed")
     p.add_argument("--label-prefix", default="label:")
     p.add_argument("--multiclass-column", default=None)
@@ -387,16 +351,13 @@ def main(argv=None) -> int:
         return 0 if not e.code else 2
     try:
         return args.func(args)
-    except _SOLVER_ERRORS as e:
+    except OvnError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 4
-    except _DATA_ERRORS as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        return e.exit_code
     except OSError as e:
         print(f"IoError: {e}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as e:
+    except ValueError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

@@ -15,23 +15,6 @@ import numpy as np
 
 from .errors import EmptyLabelRow, MalformedCsv, NoLabels, UnknownKind
 
-SYNTH_KINDS = (
-    "hourglass",
-    "moon",
-    "random_two_class",
-    "unseen_label_toy",
-    "symmetric_parallel",
-)
-
-# Default jitter scale per generator kind, in data units.
-_KIND_NOISE = {
-    "hourglass": 0.05,
-    "moon": 0.12,
-    "random_two_class": 0.70,
-    "unseen_label_toy": 0.25,
-    "symmetric_parallel": 0.30,
-}
-
 # Fixture constants for the unseen-label toy.  The training set has one
 # cluster carrying only the first label and one overlap cluster carrying
 # both; no training pattern carries the second label alone.  The held-out
@@ -362,13 +345,15 @@ def _gen_unseen_label_toy(n, noise, rng):
     return X, labels
 
 
-_GENERATORS = {
-    "hourglass": _gen_hourglass,
-    "moon": _gen_moon,
-    "random_two_class": _gen_random_two_class,
-    "symmetric_parallel": _gen_symmetric_parallel,
-    "unseen_label_toy": _gen_unseen_label_toy,
+# generator kind -> (generator, default jitter scale in data units)
+_SYNTH = {
+    "hourglass": (_gen_hourglass, 0.05),
+    "moon": (_gen_moon, 0.12),
+    "random_two_class": (_gen_random_two_class, 0.70),
+    "unseen_label_toy": (_gen_unseen_label_toy, 0.25),
+    "symmetric_parallel": (_gen_symmetric_parallel, 0.30),
 }
+SYNTH_KINDS = tuple(_SYNTH)
 
 
 def synth_generate(spec: SynthSpec) -> Dataset:
@@ -378,11 +363,11 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     only (label sets [1,0] and [1,1]); the six held-out points live in
     unseen_label_test_partition().
     """
-    if spec.kind not in _GENERATORS:
+    if spec.kind not in _SYNTH:
         raise UnknownKind(f"unknown synthetic kind {spec.kind!r}")
-    noise = _KIND_NOISE[spec.kind] if spec.noise is None else spec.noise
-    rng = np.random.default_rng(spec.seed)
-    X, labels = _GENERATORS[spec.kind](spec.n_per_cluster, noise, rng)
+    generate, default_noise = _SYNTH[spec.kind]
+    noise = default_noise if spec.noise is None else spec.noise
+    X, labels = generate(spec.n_per_cluster, noise, np.random.default_rng(spec.seed))
     return Dataset(X, labels, ("c1", "c2"), ("x1", "x2"))
 
 

@@ -1,8 +1,23 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Each error's class decides the command line's exit code: ``exit_code`` is
+3 (a data or i/o error) on :class:`OvnError` and 4 on
+:class:`SolverError`, the failures of a solve on well-formed data.  The
+callers that turn a failed solve into an outcome (a stalled fit, a
+discarded refit, an infeasible CV tuple) catch ``SolverError`` alone.
+"""
 
 
 class OvnError(Exception):
     """Base class for every library-specific error."""
+
+    exit_code = 3
+
+
+class SolverError(OvnError):
+    """Base class for the errors of a solve on well-formed data."""
+
+    exit_code = 4
 
 
 # dataset construction and parsing
@@ -41,24 +56,24 @@ class LengthMismatch(OvnError):
 
 # majorization
 
-class NonpositiveZ(OvnError):
+class NonpositiveZ(SolverError):
     """The quadratic surrogate needs a strictly positive auxiliary value."""
 
 
 # solvers
 
-class HessianNotPD(OvnError):
+class HessianNotPD(SolverError):
     """The reduced Hessian failed its symmetric positive definite factorization."""
 
 
-class SingularSystem(OvnError):
+class SingularSystem(SolverError):
     """The assembled system contains non-finite entries or is rank deficient."""
 
 
 # model selection
 
-class AllTuplesInfeasible(OvnError):
-    """Every hyperparameter tuple in the grid failed with HessianNotPD."""
+class AllTuplesInfeasible(SolverError):
+    """Every hyperparameter tuple in the grid failed with a solver error."""
 
 
 # persistence

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .data import Dataset, finite_features
-from .errors import DimensionMismatch, HessianNotPD, MaxItersExceeded, SingularSystem
+from .errors import DimensionMismatch, MaxItersExceeded, SolverError
 from .kernels import KernelSpec, _finish, _lift, _origin, gram
 from .linear import (
     AssembledSystem,
@@ -189,12 +189,14 @@ def _refit(dataset, G, mode, hp, fit, traces):
     S = np.unique(np.concatenate(sets)[run.lam > _LANDMARK_TOL * hp.beta])
     if len(S) >= parts.metric.shape[0] - 1:  # r + 1 columns on a factor of rank r
         return end(fit, "skipped (|S| >= r)")
+    if not len(S):  # a fit on no landmarks is the bias alone
+        return end(fit, "skipped (no landmarks)")
     parts2, L, cols = _kernel_parts(sets, G, mode, hp, S)
     try:
         with warnings.catch_warnings():  # a refit at the cap is discarded, not the model
             warnings.simplefilter("ignore", MaxItersExceeded)
             run2 = _minimize(parts2, hp)
-    except (HessianNotPD, SingularSystem) as e:
+    except SolverError as e:
         return end(fit, f"discarded ({type(e).__name__} on its first step)", 1)
     model2, steps = _dual(dataset, G, mode, hp, run2, L, cols), run2.iterations_used
     if run2.stop_reason != "gap":
@@ -289,9 +291,9 @@ def fit_kernel(
     the rows whose multiplier is above _LANDMARK_TOL beta in some class:
     G on the landmarks is factored, every training row is mapped onto them,
     and :func:`ovnsvm.linear._minimize` runs again on those rows.  The refit
-    is skipped when there are at least r landmarks, and discarded unless it
-    ends "gap" at an objective no higher than the pivot fit's; the pivot
-    fit is then the model.  ``interior_point`` says which of these
+    is skipped when there are at least r landmarks or none, and discarded
+    unless it ends "gap" at an objective no higher than the pivot fit's;
+    the pivot fit is then the model.  ``interior_point`` says which of these
     happened, after the pivot fit's own status.  ``iterations_used`` counts
     the steps of both fits, so a fit without traces still factors
     ``iterations_used`` systems; ``stop_reason`` and ``kkt_residual`` are

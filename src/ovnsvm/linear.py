@@ -47,11 +47,12 @@ from .errors import (
     HessianNotPD,
     MaxItersExceeded,
     SingularSystem,
+    SolverError,
     TooFewInstances,
 )
 from .majorization import DEFAULT_EPSILON, MMState, hinge, majorizer
 
-_MODE_TOKENS = {
+MODE_TOKENS = {
     "sw-sb": ("soft", "soft"),
     "sw-hb": ("soft", "hard"),
     "hw-sb": ("hard", "soft"),
@@ -77,11 +78,11 @@ class ConstraintMode:
 
     @classmethod
     def from_token(cls, token: str) -> "ConstraintMode":
-        if token not in _MODE_TOKENS:
+        if token not in MODE_TOKENS:
             raise ValueError(
-                f"unknown mode token {token!r}; expected one of {sorted(_MODE_TOKENS)}"
+                f"unknown mode token {token!r}; expected one of {sorted(MODE_TOKENS)}"
             )
-        w, b = _MODE_TOKENS[token]
+        w, b = MODE_TOKENS[token]
         return cls(w, b)
 
 
@@ -654,7 +655,7 @@ class _InteriorPoint:
     The method stops stepping once the gap lam's + nu'xi is at most
     ``hp.tol`` max(1, |reg(w) + beta 1'xi|) and the stationarity residual
     is as small against the multipliers' term, or when its own step raises
-    HessianNotPD or SingularSystem; :meth:`status` says which.
+    a solver error; :meth:`status` says which.
     """
 
     def __init__(self, parts: _FixedParts, hp: Hyperparameters):
@@ -683,7 +684,7 @@ class _InteriorPoint:
         """
         try:
             self._step()
-        except (HessianNotPD, SingularSystem) as e:
+        except SolverError as e:
             if not self.steps:
                 raise  # the fit has no iterate to fall back on
             self.outcome = f"stopped on {type(e).__name__} after {self.steps} steps"
@@ -752,8 +753,8 @@ def _minimize(parts: _FixedParts, hp: Hyperparameters) -> _FitRun:
     method's iterate with its relative stationarity residual as
     ``kkt_residual``.  It ends on the method's certificate of the optimum
     (gap and stationarity within ``hp.tol``, ``stop_reason`` "gap"), on
-    the method's step raising HessianNotPD or SingularSystem ("stall"; a
-    raise on the first step propagates) or at ``hp.max_iters`` ("cap"),
+    the method's step raising a solver error ("stall"; a raise on the
+    first step propagates) or at ``hp.max_iters`` ("cap"),
     with a MaxItersExceeded warning.  Each step solves its Newton system
     by class blocks (:func:`_factor_blocks`), so the fit factors
     ``iterations_used`` systems.  The run also returns the iterate's hinge

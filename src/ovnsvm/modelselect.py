@@ -7,16 +7,17 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import AllTuplesInfeasible, HessianNotPD, TooFewInstances
+from .errors import AllTuplesInfeasible, SolverError, TooFewInstances
 from .kernel import fit_kernel
 from .kernels import KernelSpec
 from .linear import ConstraintMode, Hyperparameters, fit_linear
-from .predict import evaluate, predict_labels
+from .predict import TASKS, evaluate, predict_labels
 
 DEFAULT_ALPHAS = (-0.5, 0.0, 0.5, 1.0, 1.5)
 DEFAULT_BETAS = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_GAMMAS = (0.1, 1.0, 10.0)
 DEFAULT_SIGMAS = (0.25, 0.5, 1.0, 2.0, 4.0)
+SOLVERS = ("linear", "kernel")
 
 
 def kfold_split(n: int, k: int, seed: int):
@@ -166,8 +167,8 @@ def _evaluate_tuple(dataset, folds, params, grid, task, solver):
             result.fold_stop_reasons.append(model.stop_reason)
         result.mean_accuracy = float(np.mean(result.fold_accuracies))
         result.mean_hamming = float(np.mean(result.fold_hammings))
-    except HessianNotPD as e:
-        return TupleResult(params, feasible=False, error=f"HessianNotPD: {e}")
+    except SolverError as e:
+        return TupleResult(params, feasible=False, error=f"{type(e).__name__}: {e}")
     return result
 
 
@@ -180,8 +181,9 @@ def grid_search_cv(
 ) -> CVReport:
     """Cross-validated grid search; selection criterion is mean fold accuracy.
 
-    Tuples whose reduced Hessian is indefinite are recorded as infeasible
-    and skipped.  A fold whose training part has no positive pattern of
+    Tuples whose fit raises a solver error (a coupling outside the window,
+    an indefinite block, a singular system) are recorded as infeasible,
+    with the error's class and message, and skipped.  A fold whose training part has no positive pattern of
     some class raises TooFewInstances before any fit.  Every fit runs in
     turn in the calling process, in enumeration order, so the report is
     deterministic for fixed (dataset, grid).  The fold fits run with
@@ -192,9 +194,9 @@ def grid_search_cv(
     kept only for callers that still pass ``n_jobs=1`` and goes in the
     next change to the benchmark harness.
     """
-    if task not in ("multiclass", "multilabel"):
+    if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    if solver not in ("linear", "kernel"):
+    if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     if n_jobs != 1:
         raise ValueError(f"n_jobs must be 1, got {n_jobs!r}")
@@ -207,7 +209,7 @@ def grid_search_cv(
     feasible = [r for r in results if r.feasible]
     if not feasible:
         raise AllTuplesInfeasible(
-            f"all {len(results)} grid tuples failed the positive definite check"
+            f"all {len(results)} grid tuples failed with a solver error"
         )
     best = max(feasible, key=lambda r: r.mean_accuracy)
     return CVReport(

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import LengthMismatch
 
+# the tasks of predict_labels, and so of every caller that takes a task
+TASKS = ("multiclass", "multilabel")
+
 __all__ = [
     "predict_labels",
     "predict_multilabel_matrix",

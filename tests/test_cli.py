@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import ovnsvm
-from conftest import quiet_max_iters
+import ovnsvm.cli
+import ovnsvm.errors
+from conftest import OFFSET_GRID, offset_linear_reference, quiet_max_iters
 from ovnsvm import load_model
 from ovnsvm.cli import main
 
@@ -283,7 +285,33 @@ def test_reproduce_table_is_the_same_at_any_blas_thread_count(table):
     assert outputs[0] == outputs[1]
 
 
+# the exit code of each package error; a new error class needs its row here
+_EXIT_CODES = {
+    **dict.fromkeys(
+        ("MalformedCsv", "NoLabels", "EmptyLabelRow", "UnknownKind", "TooFewInstances",
+         "DimensionMismatch", "LengthMismatch", "IoError", "ParseError",
+         "UnsupportedVersion", "InvariantViolation"), 3),
+    **dict.fromkeys(
+        ("SolverError", "HessianNotPD", "SingularSystem", "AllTuplesInfeasible",
+         "NonpositiveZ"), 4),
+}
+_ERRORS = sorted(
+    name for name, value in vars(ovnsvm.errors).items()
+    if isinstance(value, type) and issubclass(value, ovnsvm.errors.OvnError)
+    and value is not ovnsvm.errors.OvnError
+)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("name", _ERRORS)
+    def test_an_error_exits_with_the_code_of_its_class(self, name, monkeypatch, capsys):
+        def command(args):
+            raise getattr(ovnsvm.errors, name)("on purpose")
+
+        monkeypatch.setattr(ovnsvm.cli, "_cmd_evaluate", command)
+        assert run("evaluate", "--pred", "p.csv", "--truth", "t.csv") == _EXIT_CODES[name]
+        assert capsys.readouterr().err == f"{name}: on purpose\n"
+
     def test_missing_data_file(self, tmp_path):
         code = run(
             "train",
@@ -442,6 +470,14 @@ class TestExitCodes:
             "--model-out", str(tmp_path / "m.json"),
         )
         assert code == 4
+
+    def test_a_singular_cv_tuple_is_skipped(self, tmp_path, capsys):
+        data, grid = tmp_path / "d.csv", tmp_path / "g.json"
+        ovnsvm.write_csv(offset_linear_reference(), data)
+        grid.write_text(json.dumps(OFFSET_GRID))
+        assert run("cv", "--data", str(data), "--grid", str(grid)) == 0
+        out = capsys.readouterr().out
+        assert "cv: 2 tuples, 1 feasible" in out and "'mode': 'sw-hb'" in out
 
     def test_usage_errors(self, tmp_path):
         assert run("synth", "--kind", "spiral", "--out", "x.csv") == 2  # argparse choice

@@ -194,6 +194,21 @@ def test_a_failed_refit_keeps_the_pivot_model_and_says_so(second, note, steps, m
     assert len(model.surrogate_trace) == pivot.iterations_used - 1
 
 
+def test_no_landmarks_skip_the_refit(runs):
+    # every multiplier of this pivot fit is below 1e-5 beta (6.3e-5 at most),
+    # so a refit would fit the biases alone
+    d = _rings()
+    spec = KernelSpec(kind="polynomial", degree=8, coef0=1.0)
+    mode, hp = ConstraintMode.from_token("sw-sb"), Hyperparameters()
+    pivot = fit_kernel(d, spec, mode, hp, traces=False, refit=False)
+    model = fit_kernel(d, spec, mode, hp, traces=False)
+    assert len(runs) == 2  # one run for each fit
+    assert model.interior_point == f"{pivot.interior_point}; refit skipped (no landmarks)"
+    assert model.iterations_used == pivot.iterations_used
+    assert np.array_equal(model.A, pivot.A) and np.array_equal(model.b, pivot.b)
+    assert model.final_objective == pivot.final_objective
+
+
 def test_an_uncertified_pivot_fit_is_not_refit(runs):
     d = _rings()
     spec, token = KEPT[0]

@@ -5,7 +5,7 @@ import pytest
 
 import ovnsvm.linear
 import ovnsvm.modelselect
-from conftest import random_multiclass, random_multilabel
+from conftest import OFFSET_GRID, offset_linear_reference, random_multiclass, random_multilabel
 from ovnsvm import (
     AllTuplesInfeasible,
     ConstraintMode,
@@ -163,6 +163,17 @@ class TestGridSearch:
         assert all("HessianNotPD" in t.error for t in bad)
         assert all(t.fold_iterations == t.fold_stop_reasons == [] for t in bad)
         assert report.best_tuple["alpha"] == 0.5
+
+    def test_a_singular_tuple_is_recorded_not_fatal(self):
+        modes = tuple(ConstraintMode.from_token(t) for t in OFFSET_GRID["modes"])
+        grid = GridSpec(**{**OFFSET_GRID, "modes": modes})
+        report = grid_search_cv(offset_linear_reference(), grid)
+        good, bad = report.tuples
+        assert (good.params["mode"], bad.params["mode"]) == ("sw-hb", "hw-hb")
+        assert good.feasible and not bad.feasible
+        assert bad.error.startswith("SingularSystem: ")
+        assert bad.fold_iterations == bad.fold_stop_reasons == []
+        assert report.best_tuple == good.params
 
     def test_all_tuples_infeasible(self):
         rng = np.random.default_rng(4)
