@@ -91,7 +91,9 @@ class TrainedKernelModel:
         Training rows whose column of A is zero are left out of the blocks.
         Rows are scored in blocks, so beyond the output one kernel block of
         n x (about _SCORE_BLOCK // n) values is held for the n kept training
-        rows, however large T is.
+        rows, however large T is.  The scores are computed class-major, one
+        product A @ K(train, block) per block, and returned as the (T, K)
+        transpose of that (K, T) array.
         """
         X = finite_features(X)
         if X.shape[1:] != self.train_features.shape[1:]:
@@ -102,16 +104,16 @@ class TrainedKernelModel:
         origin = _origin(self.train_features)
         left = _lift(self.kernel, self.train_features[keep], origin, True)
         A = np.take(self.A, keep, axis=1)  # row-major as A is, so it rounds alike
-        scores = np.empty((len(X), self.n_classes))
+        scores = np.empty((self.n_classes, len(X)))
         step = 64 * max(1, _SCORE_BLOCK // (64 * max(1, len(keep))))
         # the last block takes the rest, so it is never a lone row unless X is
         bounds = [0, *range(step, len(X) - 1, step), len(X)]
         for start, stop in zip(bounds, bounds[1:]):
             right = _lift(self.kernel, X[start:stop], origin, False)
             cross = _finish(self.kernel, left @ right)
-            np.matmul(cross.T, A.T, out=scores[start:stop])
-        scores += self.b
-        return scores
+            np.matmul(A, cross, out=scores[:, start:stop])
+        scores += self.b[:, None]
+        return scores.T
 
 
 def _factor(G):

@@ -164,13 +164,16 @@ class TrainedLinearModel:
         return self.W.shape[1]
 
     def decision_scores(self, X) -> np.ndarray:
-        """Per-class scores w_k' x + b_k for every row of X, shape (T, K)."""
+        """Per-class scores w_k' x + b_k for every row of X, shape (T, K).
+
+        Computed class-major as W @ X' and returned as its transpose.
+        """
         X = finite_features(X)
         if X.shape[1:] != (self.n_features,):
             raise DimensionMismatch(
                 f"rows of shape {X.shape} for a model of {self.n_features} features"
             )
-        return X @ self.W.T + self.b
+        return (self.W @ X.T + self.b[:, None]).T
 
 
 @dataclass

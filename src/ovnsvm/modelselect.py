@@ -246,13 +246,13 @@ class OvrBaseline:
 
     def decision_scores(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        out = np.empty((X.shape[0], self.K))
+        out = np.empty((self.K, X.shape[0]))  # class-major, as the models score
         for k, model in enumerate(self.models):
             if model is None:
-                out[:, k] = 1.0
+                out[k] = 1.0
             else:
-                out[:, k] = model.decision_scores(X)[:, 0]
-        return out
+                out[k] = model.decision_scores(X)[:, 0]
+        return out.T
 
     def predict_multilabel_matrix(self, X) -> np.ndarray:
         return (self.decision_scores(X) >= 0.0).astype(np.int64)

@@ -31,7 +31,9 @@ def predict_labels(scores, task: str) -> np.ndarray:
 
     ``"multilabel"``: every class scoring at least 1, or the argmax when
     none does, so no row is empty.  ``"multiclass"``: the argmax alone.
-    Exact ties go to the lowest index.  A 1-D input is one row.
+    Exact ties go to the lowest index, and a NaN wins as in ``np.argmax``.
+    A 1-D input is one row.  The result is the transpose of a class-major
+    array, as the scores of both model kinds are.
     """
     if task == "multilabel":
         # looked up by module name at call time, so a wrapper set on
@@ -39,20 +41,41 @@ def predict_labels(scores, task: str) -> np.ndarray:
         return predict_multilabel_matrix(scores)
     if task != "multiclass":
         raise ValueError(f"unknown task {task!r}")
-    S = np.atleast_2d(np.asarray(scores, dtype=float))
-    out = np.zeros(S.shape, dtype=np.int64)
-    out[np.arange(len(S)), np.argmax(S, axis=1)] = 1
-    return out
+    return _first_maxima(_class_major(scores)).astype(np.int64).T
 
 
 def predict_multilabel_matrix(scores) -> np.ndarray:
     """Row-wise multilabel rule on an (N, K) score matrix; returns 0/1 matrix."""
-    S = np.atleast_2d(np.asarray(scores, dtype=float))
-    out = (S >= 1.0).astype(np.int64)
-    empty = np.flatnonzero(out.sum(axis=1) == 0)
-    if empty.size:
-        out[empty, np.argmax(S[empty], axis=1)] = 1
-    return out
+    S = _class_major(scores)
+    hit = S >= 1.0
+    empty = ~hit.any(axis=0)
+    if empty.any():
+        hit |= _first_maxima(S) & empty
+    return hit.astype(np.int64).T
+
+
+def _class_major(scores) -> np.ndarray:
+    # the (K, N) C-ordered transpose of (N, K) scores: free for the
+    # transposed class-major scores of a model, one copy otherwise
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(scores, dtype=float)).T)
+
+
+def _first_maxima(S) -> np.ndarray:
+    """(K, N) bool mask of the entry ``np.argmax(S, axis=0)`` picks per column.
+
+    Every step works on whole rows of S, which numpy does at full speed;
+    a reduction across each short column of K values would not.
+    """
+    top = S.max(axis=0)
+    hit = S == top
+    nan = np.flatnonzero(np.isnan(top))
+    if nan.size:
+        hit[:, nan] = np.isnan(S[:, nan])
+    taken = np.zeros(S.shape[1], dtype=bool)
+    for row in hit:
+        row &= ~taken
+        taken |= row
+    return hit
 
 
 def label_sets_to_matrix(sets, K: int) -> np.ndarray:
@@ -113,17 +136,19 @@ def evaluate(predictions, truths, K: int) -> MetricsReport:
         raise LengthMismatch(
             f"{len(predictions)} predictions vs {len(truths)} truths"
         )
-    P = label_sets_to_matrix(predictions, K)
-    Y = label_sets_to_matrix(truths, K)
-    n = P.shape[0]
+    # class-major (K, N), so the per-instance sums below add whole rows
+    # when the labels are the transposed output of predict_labels
+    P = label_sets_to_matrix(predictions, K).T
+    Y = label_sets_to_matrix(truths, K).T
+    n = P.shape[1]
     if n == 0:
         raise LengthMismatch("cannot evaluate zero instances")
 
-    inter = np.sum(P & Y, axis=1).astype(float)
-    union = np.sum(P | Y, axis=1).astype(float)
-    sym = np.sum(P ^ Y, axis=1).astype(float)
-    p_size = P.sum(axis=1).astype(float)
-    y_size = Y.sum(axis=1).astype(float)
+    inter = np.sum(P & Y, axis=0).astype(float)
+    union = np.sum(P | Y, axis=0).astype(float)
+    sym = np.sum(P ^ Y, axis=0).astype(float)
+    p_size = P.sum(axis=0).astype(float)
+    y_size = Y.sum(axis=0).astype(float)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         jac = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 1.0)

@@ -107,6 +107,7 @@ def test_criterion_02_descent_and_feasibility_all_modes_and_kernels():
     assert time.perf_counter() - started < 30.0
 
 
+@pytest.mark.slow  # runs the subgradient oracle
 def test_criterion_03_objective_matches_subgradient_reference():
     rng = np.random.default_rng(2)
     started = time.perf_counter()
@@ -146,6 +147,7 @@ def _bias_is_degenerate(X, y, v, c):
     return abs(float(np.sum(y[violators]))) < 0.5 and not bool(np.any(on_margin))
 
 
+@pytest.mark.slow  # runs the subgradient oracle
 def test_criterion_04_two_class_fit_recovers_the_classic_binary_machine():
     rng = np.random.default_rng(3)
     mode = ConstraintMode("hard", "hard")

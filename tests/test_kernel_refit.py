@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import random_multilabel
 
 import ovnsvm.kernel
 import ovnsvm.linear
@@ -207,6 +208,30 @@ def test_no_landmarks_skip_the_refit(runs):
     assert model.iterations_used == pivot.iterations_used
     assert np.array_equal(model.A, pivot.A) and np.array_equal(model.b, pivot.b)
     assert model.final_objective == pivot.final_objective
+
+
+def _steps(interior_point):
+    # the steps a note names: "after n steps" per run, 1 for a first-step failure
+    return (sum(int(n) for n in re.findall(r"after (\d+) steps", interior_point))
+            + interior_point.count("on its first step"))
+
+
+@pytest.mark.parametrize("token", ["sw-sb", "sw-hb"])
+@pytest.mark.parametrize("sigma", [0.3, 1.0])
+@pytest.mark.parametrize("beta", [0.1, 1.0])
+def test_a_refit_runs_on_an_edge_of_the_coupling_window(token, sigma, beta):
+    # alpha = 2 is the window's upper edge; these pivot fits leave hinge
+    # loss, so they have landmarks and fewer of them than the factor's rank
+    d = random_multilabel(np.random.default_rng(0), 40, 3, 3)
+    spec = KernelSpec(kind="gaussian", sigma=sigma)
+    mode, hp = ConstraintMode.from_token(token), Hyperparameters(alpha=2.0, beta=beta)
+    pivot = fit_kernel(d, spec, mode, hp, traces=False, refit=False)
+    model = fit_kernel(d, spec, mode, hp, traces=False)
+    note = model.interior_point.removeprefix(f"{pivot.interior_point}; refit ")
+    assert note != model.interior_point
+    assert not note.startswith("skipped"), note
+    assert model.final_objective <= pivot.final_objective
+    assert _steps(model.interior_point) == model.iterations_used > pivot.iterations_used
 
 
 def test_an_uncertified_pivot_fit_is_not_refit(runs):

@@ -52,7 +52,8 @@ SPECS = [
 def test_scores_equal_the_single_block_product(spec, T):
     model = _model(spec)
     X = 3.0 * np.random.default_rng(1).standard_normal((T, M))
-    whole = gram_cross(spec, model.train_features, X).T @ model.A.T + model.b
+    # class-major, as the blocks are computed
+    whole = (model.A @ gram_cross(spec, model.train_features, X) + model.b[:, None]).T
     got = model.decision_scores(X)
     assert got.shape == (T, K)
     assert np.array_equal(got, whole)

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import ovnsvm.predict
 from ovnsvm import (
+    ConstraintMode,
+    Hyperparameters,
+    KernelSpec,
     LengthMismatch,
+    MetricsReport,
+    OvrBaseline,
+    TrainedKernelModel,
+    TrainedLinearModel,
     evaluate,
     label_sets_to_matrix,
     predict_labels,
@@ -70,6 +77,109 @@ class TestDecisionRules:
         predict_labels([[2.0, 0.0]], "multilabel")
         predict_labels([[2.0, 0.0]], "multiclass")
         assert len(calls) == 1
+
+
+def _row_major_rule(scores, task):
+    # the rule as it was written before scores went class-major: row-wise
+    # sums and argmax over an (N, K) array
+    S = np.atleast_2d(np.asarray(scores, dtype=float))
+    if task == "multilabel":
+        out = (S >= 1.0).astype(np.int64)
+        empty = np.flatnonzero(out.sum(axis=1) == 0)
+        if empty.size:
+            out[empty, np.argmax(S[empty], axis=1)] = 1
+        return out
+    out = np.zeros(S.shape, dtype=np.int64)
+    out[np.arange(len(S)), np.argmax(S, axis=1)] = 1
+    return out
+
+
+# few distinct values, so rows hold exact ties, scores of exactly 1 and
+# rows that are all -inf, all NaN or mixed
+_SPECIAL = np.array([-np.inf, -1.0, 0.0, 0.5, 1.0, 1.0, 2.0, np.inf, np.nan])
+
+
+def _awkward_scores(N, K, seed):
+    rng = np.random.default_rng(seed)
+    S = rng.choice(_SPECIAL, size=(N, K))
+    smooth = rng.random((N, K)) < 0.3
+    S[smooth] = rng.normal(0.5, 1.0, smooth.sum())
+    return S
+
+
+class TestClassMajorRule:
+    """The class-major rule labels exactly as the row-major rule did."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("K", [1, 2, 3, 10])
+    @pytest.mark.parametrize("N", [0, 1, 10_000])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_labels_match_the_row_major_rule(self, task, K, N, order):
+        S = np.asarray(_awkward_scores(N, K, seed=100 * K + N), order=order)
+        got = predict_labels(S, task)
+        want = _row_major_rule(S, task)
+        assert got.dtype == np.int64
+        assert got.shape == want.shape == (N, K)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("K", [1, 2, 3, 10])
+    def test_one_dimensional_rows_match(self, task, K):
+        for row in _awkward_scores(200, K, seed=K):
+            got = predict_labels(row, task)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _row_major_rule(row, task)), row
+
+    def test_nan_rows_follow_argmax(self):
+        S = [[np.nan, 2.0, np.nan], [0.5, np.nan, np.inf], [np.nan] * 3, [-np.inf] * 3]
+        for task in TASKS:
+            assert np.array_equal(predict_labels(S, task), _row_major_rule(S, task))
+        assert predict_labels(S, "multilabel").tolist() == [
+            [0, 1, 0], [0, 0, 1], [1, 0, 0], [1, 0, 0]]
+        assert predict_labels(S, "multiclass").tolist() == [
+            [1, 0, 0], [0, 1, 0], [1, 0, 0], [1, 0, 0]]
+
+
+def _linear_model(rng, K, M):
+    return TrainedLinearModel(
+        W=rng.standard_normal((K, M)),
+        b=rng.standard_normal(K),
+        mode=ConstraintMode("soft", "soft"),
+        hyperparameters=Hyperparameters(),
+        iterations_used=1,
+        final_objective=0.0,
+        kkt_residual=0.0,
+    )
+
+
+def _kernel_model(rng, K, M):
+    N = 30
+    return TrainedKernelModel(
+        A=rng.standard_normal((K, N)),
+        b=rng.standard_normal(K),
+        kernel=KernelSpec(kind="gaussian", sigma=1.0),
+        train_features=rng.standard_normal((N, M)),
+        mode=ConstraintMode("soft", "hard"),
+        hyperparameters=Hyperparameters(),
+        iterations_used=1,
+        final_objective=0.0,
+        kkt_residual=0.0,
+    )
+
+
+@pytest.mark.parametrize("make", [_linear_model, _kernel_model], ids=["linear", "kernel"])
+@pytest.mark.parametrize("T", [2, 3, 1000])
+def test_scores_are_class_major_so_labelling_never_copies(make, T):
+    rng = np.random.default_rng(T)
+    K, M = 3, 4
+    model = make(rng, K, M)
+    X = rng.standard_normal((T, M))
+    scores = model.decision_scores(X)
+    assert scores.shape == (T, K)
+    assert scores.T.flags.c_contiguous
+    baseline = OvrBaseline(models=[None, make(rng, 2, M), None], untrainable=[], K=K)
+    assert baseline.decision_scores(X).T.flags.c_contiguous
+    assert np.shares_memory(ovnsvm.predict._class_major(scores), scores)
 
 
 class TestSetMatrixConversion:
@@ -198,3 +308,42 @@ class TestEvaluate:
             K,
         )
         assert a.as_dict() == pytest.approx(b.as_dict())
+
+
+def _row_major_evaluate(P, Y, K):
+    # evaluate as it was written before it summed class-major rows
+    P = label_sets_to_matrix(P, K)
+    Y = label_sets_to_matrix(Y, K)
+    n = P.shape[0]
+    inter = np.sum(P & Y, axis=1).astype(float)
+    union = np.sum(P | Y, axis=1).astype(float)
+    sym = np.sum(P ^ Y, axis=1).astype(float)
+    p_size = P.sum(axis=1).astype(float)
+    y_size = Y.sum(axis=1).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        jac = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 1.0)
+        prec = np.where(p_size > 0, inter / np.where(p_size > 0, p_size, 1.0), 1.0)
+        rec = np.where(y_size > 0, inter / np.where(y_size > 0, y_size, 1.0), 1.0)
+    precision = float(prec.mean())
+    recall = float(rec.mean())
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return MetricsReport(
+        accuracy=float(jac.mean()),
+        hamming_loss=float(sym.sum() / (n * K)),
+        exact_match=float(np.mean(sym == 0)),
+        precision=precision,
+        recall=recall,
+        f1=float(f1),
+        n_instances=int(n),
+    )
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_evaluate_matches_the_row_major_sums_exactly(order):
+    rng = np.random.default_rng(5)
+    N, K = 10_000, 3
+    P = np.asarray(rng.random((N, K)) < 0.4, dtype=np.int64, order=order)
+    Y = np.asarray(rng.random((N, K)) < 0.4, dtype=np.int64, order=order)
+    assert evaluate(P, Y, K) == _row_major_evaluate(P, Y, K)
+    labels = predict_labels(rng.normal(0.5, 1.0, (N, K)), "multilabel")
+    assert evaluate(labels, Y, K) == _row_major_evaluate(labels, Y, K)
